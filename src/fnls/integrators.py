@@ -13,7 +13,18 @@ preconditioned fixed-point iteration
     A = I + i (k b_j / 2) (-d_xx)^s,
 
 with A inverted exactly mode by mode, and X* the midpoint so that
-Y_next = 2 X* - Y_prev.
+Y_next = 2 X* - Y_prev.  In Fourier space the map is two diagonal
+multipliers per stage, pre_j = A^{-1} / N and gain_j = i (k b_j / 2) pre_j P
+(P folded in as the dealiasing mask, gain_j = 0 for the linear model):
+
+    Z_{n+1} = gain_j fft(|X_n|^2 X_n) + base,   base = pre_j fft(Y_prev),
+    X_{n+1} = N ifft(Z_{n+1}),
+
+so Z is the coefficient vector of X scaled by 1/N and the inverse
+transform applies no normalization (numpy's norm="forward").  base is
+formed once per stage, and each iteration is one cubic term, one FFT
+pair and one multiply-add, all written into buffers allocated once per
+stage solve.
 """
 
 from __future__ import annotations
@@ -125,11 +136,19 @@ class _StepContext:
                  sp: SolverParams, mp: ModelParams):
         self.grid = grid
         self.sp = sp
-        self.mp = mp
         lam = grid.fractional_symbol(mp.s)
-        self.half_steps = [0.5 * sp.k * bj for bj in b]
-        self.precond = [1.0 / (1.0 + 1j * hk * lam) for hk in self.half_steps]
-        self.mask = grid.dealias_mask if mp.dealias else None
+        self.pre = []
+        self.gain = []
+        for bj in b:
+            ihk = 0.5j * sp.k * bj
+            pre = 1.0 / (grid.N + (grid.N * ihk) * lam)
+            self.pre.append(pre)
+            if mp.linear:
+                self.gain.append(np.zeros_like(pre))
+            elif mp.dealias:
+                self.gain.append(ihk * pre * grid.dealias_mask)
+            else:
+                self.gain.append(ihk * pre)
         self.max_abs_b = max(abs(bj) for bj in b)
 
     def stability_margin(self, u_vals: np.ndarray) -> float:
@@ -140,34 +159,44 @@ class _StepContext:
 
 def _stage_solve(ctx: _StepContext, stage_index: int,
                  y_vals: np.ndarray, y_hat: np.ndarray):
-    """Solve one midpoint stage; returns (y_next_vals, y_next_hat, iters)."""
-    sp, mp = ctx.sp, ctx.mp
-    hk = ctx.half_steps[stage_index - 1]
-    pre = ctx.precond[stage_index - 1]
-    x_vals = y_vals
+    """Solve one midpoint stage; returns (y_next_vals, y_next_hat, iters).
+
+    The returned arrays are fresh: observers may keep references to them.
+    """
+    sp = ctx.sp
+    gain = ctx.gain[stage_index - 1]
+    base = ctx.pre[stage_index - 1] * y_hat
+    x = y_vals.copy()           # the caller's y_vals is never written
+    x_next = np.empty_like(x)
+    z = np.empty_like(x)
+    work = np.empty_like(x)     # the cubic term, then the iterate change
+    mod = np.empty(x.shape)
     diff = norm = 0.0
     # diverging iterates may overflow before the cap trips; that is the
     # expected failure route, not a condition worth a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, sp.fp_max_iters + 1):
-            if mp.linear:
-                rhs_hat = y_hat
-            else:
-                g_hat = np.fft.fft(np.abs(x_vals) ** 2 * x_vals)
-                if ctx.mask is not None:
-                    g_hat = g_hat * ctx.mask
-                rhs_hat = y_hat + (1j * hk) * g_hat
-            x_hat = pre * rhs_hat
-            x_new = np.fft.ifft(x_hat)
-            diff = float(np.linalg.norm(x_new - x_vals))
-            norm = float(np.linalg.norm(x_new))
-            x_vals = x_new
+            np.abs(x, out=mod)
+            np.multiply(mod, mod, out=mod)
+            np.multiply(mod, x, out=work)
+            np.fft.fft(work, out=z)
+            np.multiply(z, gain, out=z)
+            np.add(z, base, out=z)
+            np.fft.ifft(z, norm="forward", out=x_next)
+            np.subtract(x_next, x, out=work)
+            diff = math.sqrt(np.vdot(work, work).real)
+            norm = math.sqrt(np.vdot(x_next, x_next).real)
+            x, x_next = x_next, x
             if not math.isfinite(norm):
                 # overflow: bail out now, the tolerance test would be
                 # vacuous (inf <= fp_tol * inf)
                 raise StageDivergenceError(stage_index, it, math.inf)
             if diff <= sp.fp_tol * norm:
-                return 2.0 * x_vals - y_vals, 2.0 * x_hat - y_hat, it
+                np.multiply(x, 2.0, out=x)
+                np.subtract(x, y_vals, out=x)
+                np.multiply(z, 2.0 * ctx.grid.N, out=z)
+                np.subtract(z, y_hat, out=z)
+                return x, z, it
     residual = diff / norm if norm > 0.0 else math.inf
     raise StageDivergenceError(stage_index, sp.fp_max_iters, residual)
 
@@ -184,7 +213,7 @@ def _step_arrays(ctx: _StepContext, u_vals: np.ndarray, u_hat: np.ndarray):
                 "may be non-unique"
             )
     y_vals, y_hat = u_vals, u_hat
-    for j in range(1, len(ctx.half_steps) + 1):
+    for j in range(1, len(ctx.pre) + 1):
         y_vals, y_hat, iters = _stage_solve(ctx, j, y_vals, y_hat)
         report.fp_iterations_per_stage.append(iters)
     return y_vals, y_hat, report

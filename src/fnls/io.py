@@ -144,7 +144,13 @@ def _take(data: dict, key: str, kind: type, where: str) -> Any:
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParameterError(f"{where}{key}: expected a number, got {value!r}")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:   # an integer literal beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ParameterError(f"{where}{key}: must be finite, got {value!r}")
+        return number
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ParameterError(f"{where}{key}: expected an integer, got {value!r}")

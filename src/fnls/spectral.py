@@ -70,8 +70,9 @@ class SpectralGrid:
     @cached_property
     def wavenumbers(self) -> np.ndarray:
         """Integer wavenumbers in FFT order, covering [-N/2, N/2 - 1]."""
-        k = np.fft.fftfreq(self.N, d=1.0 / self.N)
-        return np.rint(k).astype(np.int64)
+        k = np.arange(self.N, dtype=np.int64)
+        k[self.N // 2:] -= self.N
+        return k
 
     @cached_property
     def kappa(self) -> np.ndarray:

@@ -92,8 +92,13 @@ class ProfileResult:
 
 def _profile_symbol(grid: SpectralGrid, s: float, lambda1: float,
                     lambda2: float) -> np.ndarray:
-    """Fourier symbol l(k) = lambda1 + |pi k/L|^(2s) - lambda2 (pi k/L)."""
-    return lambda1 + np.abs(grid.kappa) ** (2.0 * s) - lambda2 * grid.kappa
+    """Fourier symbol l(k) = lambda1 + |pi k/L|^(2s) - lambda2 (pi k/L).
+
+    The drift term is read off the derivative symbol, so the Nyquist mode
+    k = -N/2 drops it exactly as residual_operator's derivative does.
+    """
+    drift = grid.derivative_symbol.imag
+    return lambda1 + np.abs(grid.kappa) ** (2.0 * s) - lambda2 * drift
 
 
 def petviashvili_profile(grid: SpectralGrid, s: float, lambda1: float,

@@ -97,6 +97,24 @@ def test_simulate_divergence_exit_code(tmp_path, capsys):
     assert "stage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("L", math.inf), ("s", math.nan), ("dt", -math.inf), ("T", math.inf),
+    pytest.param("T", 10**400, id="T-int-beyond-float"), ("fp_tol", math.nan),
+    ("initial.lambda1", math.nan), ("initial.lambda2", math.inf),
+    ("initial.x0", math.nan), ("initial.theta0", -math.inf), ("initial.tol", math.inf),
+])
+def test_simulate_rejects_nonfinite_values(tmp_path, capsys, key, value):
+    data = json.loads(json.dumps(SIM_CONFIG))
+    if key == "initial.tol":
+        data["initial"] = {"kind": "petviashvili", "lambda1": 1.0}
+    target, name = (data["initial"], key[8:]) if key.startswith("initial.") else (data, key)
+    target[name] = value
+    config = write_config(tmp_path, data)
+    code = main(["simulate", "--config", str(config), "--output", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert f"{key}: must be finite" in capsys.readouterr().err
+
+
 def test_simulate_missing_config_file(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "nope.json"),
                  "--output", str(tmp_path)])

@@ -7,6 +7,7 @@ import pytest
 from fnls import (
     CompositionScheme,
     Field,
+    FieldRecorder,
     ModelParams,
     ParameterError,
     SolitonParams,
@@ -128,6 +129,69 @@ def test_stage_residual_resubstitution():
     x_star = Field(0.5 * (out.values + y.values), g)
     resid = x_star.values - y.values - 0.5e-2 * rhs(x_star, mp).values
     assert l2_norm(Field(resid, g)) <= 10 * sp.fp_tol * l2_norm(x_star)
+
+
+def test_stage_residual_resubstitution_dealiased(small_grid):
+    mp = ModelParams(s=0.8, dealias=True)
+    sp = SolverParams(k=2e-2, fp_tol=1e-13)
+    y = smooth_random_field(small_grid, seed=41, bandwidth=8.0)
+    out, _ = imr_stage_solve(y, W1_ORDER4, sp, mp)
+    x_star = Field(0.5 * (out.values + y.values), small_grid)
+    resid = x_star.values - y.values - 0.5 * sp.k * W1_ORDER4 * rhs(x_star, mp).values
+    assert l2_norm(Field(resid, small_grid)) <= 10 * sp.fp_tol * l2_norm(x_star)
+
+
+def reference_step(u, scheme, sp, mp):
+    """Plain per-stage fixed-point loop: fresh arrays, np.linalg.norm test."""
+    lam = u.grid.fractional_symbol(mp.s)
+    y, y_hat, iters = u.values, np.fft.fft(u.values), []
+    for b in scheme.b:
+        hk = 0.5 * sp.k * b
+        x = y
+        for it in range(1, sp.fp_max_iters + 1):
+            g_hat = np.fft.fft(np.abs(x) ** 2 * x)
+            if mp.dealias:
+                g_hat = g_hat * u.grid.dealias_mask
+            x_hat = (y_hat + 1j * hk * g_hat) / (1.0 + 1j * hk * lam)
+            x_new = np.fft.ifft(x_hat)
+            done = np.linalg.norm(x_new - x) <= sp.fp_tol * np.linalg.norm(x_new)
+            x = x_new
+            if done:
+                break
+        iters.append(it)
+        y, y_hat = 2.0 * x - y, 2.0 * x_hat - y_hat
+    return y, iters
+
+
+@pytest.mark.parametrize("dealias", [False, True])
+@pytest.mark.parametrize("s", [0.6, 1.0])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("N", [64, 96])   # 1/N is inexact on the 96-point grid
+def test_step_matches_reference_loop(N, p, s, dealias):
+    grid = SpectralGrid(N, np.pi)
+    mp = ModelParams(s=s, dealias=dealias)
+    sp = SolverParams(k=2e-2, fp_tol=1e-13)
+    scheme = yoshida_coefficients(p)
+    u = smooth_random_field(grid, seed=37, amplitude=1.5)
+    out, report = step(u, scheme, sp, mp)
+    ref, ref_iters = reference_step(u, scheme, sp, mp)
+    assert report.fp_iterations_per_stage == ref_iters
+    assert l2_norm(Field(out.values - ref, grid)) <= 10 * sp.fp_tol * l2_norm(u)
+
+
+def test_evolve_snapshots_do_not_alias(small_grid):
+    u = smooth_random_field(small_grid, seed=31)
+    before = u.values.copy()
+    recorder = FieldRecorder()
+    evolve(u, 0.1, yoshida_coefficients(2), SolverParams(k=2e-2), ModelParams(s=0.75),
+           observers=(recorder,))
+    np.testing.assert_array_equal(u.values, before)
+    snaps = [f.values for _, f in recorder.records]
+    assert len(snaps) == 6
+    for i, a in enumerate(snaps):
+        for b in snaps[i + 1:]:
+            assert not np.shares_memory(a, b)
+            assert not np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("seed", range(5))
