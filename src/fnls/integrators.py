@@ -25,6 +25,23 @@ transform applies no normalization (numpy's norm="forward").  base is
 formed once per stage, and each iteration is one cubic term, one FFT
 pair and one multiply-add, all written into buffers allocated once per
 stage solve.
+
+step and imr_stage_solve start every stage from X_0 = Y_prev.  evolve
+starts stage j of step n from an extrapolated midpoint instead, the
+standard starting approximation for implicit symplectic Runge-Kutta
+methods (Hairer, Lubich & Wanner, Geometric Numerical Integration,
+VIII.6).  It keeps the Fourier increments d_{j,m} = fft(Y_j - Y_{j-1})
+of the last four steps and, from step 5 on, starts from
+
+    X_0 = ifft( fft(Y_prev) + 1/2 sum_{i=1..4} c_i R^i d_{j,n-i} ),
+    c = (4, -6, 4, -1),  R = prod_j (1 - i (k b_j/2) lam) / (1 + i (k b_j/2) lam),
+
+a cubic extrapolation of the increment in the frame of the linear
+propagator R of one full step.  The predictor is exact for the linear
+flow; without the R^i factors the stiff modes, which rotate by more than
+pi/3 per step, are amplified by the extrapolation and the stage solve can
+diverge.  Only the starting iterate changes: the fixed-point map and its
+stopping test are the same, so the converged stages are too.
 """
 
 from __future__ import annotations
@@ -39,6 +56,7 @@ from .model import ModelParams
 from .spectral import Field, SpectralGrid
 
 __all__ = [
+    "MAX_COMPOSITION_LEVEL",
     "CompositionScheme",
     "exact_step_count",
     "SolverParams",
@@ -49,6 +67,10 @@ __all__ = [
     "step",
     "evolve",
 ]
+
+
+# Highest accepted Yoshida level p: q = 3^(p-1) = 243 stages, order 12.
+MAX_COMPOSITION_LEVEL = 6
 
 
 @dataclass(frozen=True)
@@ -77,8 +99,11 @@ def yoshida_coefficients(p: int) -> CompositionScheme:
     w1 = 1 / (2 - 2^(1/(2p-1))) and w0 = 1 - 2 w1, tripling the stage
     count and raising the order by two.
     """
-    if not isinstance(p, (int, np.integer)) or p < 1:
-        raise ParameterError(f"composition level p must be a positive integer, got {p!r}")
+    if not isinstance(p, (int, np.integer)) or not 1 <= p <= MAX_COMPOSITION_LEVEL:
+        raise ParameterError(
+            f"composition level p must be an integer in [1, {MAX_COMPOSITION_LEVEL}], "
+            f"got {p!r}"
+        )
     b = [1.0]
     for level in range(2, p + 1):
         w1 = 1.0 / (2.0 - 2.0 ** (1.0 / (2 * level - 1)))
@@ -157,16 +182,66 @@ class _StepContext:
         return 3.0 * r_sq * abs(self.sp.k) * self.grid.N * self.max_abs_b
 
 
+class _StagePredictor:
+    """Starting iterates for evolve's stages, extrapolated from the stage
+    increments of the last four steps (see the module docstring)."""
+
+    COEFFS = (4.0, -6.0, 4.0, -1.0)     # c_i for the steps n-1 .. n-4
+
+    def __init__(self, ctx: _StepContext):
+        self.ctx = ctx
+        N = ctx.grid.N
+        # history[j - 1, (m - 1) % 4] = fft(Y_j - Y_{j-1}) of step m
+        self.history = np.empty((len(ctx.pre), 4, N), dtype=complex)
+        self.steps = 0          # completed steps recorded in history
+        self.weights = None     # 1/2 c_i R^i, built at the first prediction
+        self.guess_hat = np.empty(N, dtype=complex)
+        self.work = np.empty(N, dtype=complex)
+
+    def _build_weights(self) -> np.ndarray:
+        N = self.ctx.grid.N
+        R = np.ones(N, dtype=complex)
+        for pre in self.ctx.pre:    # Cayley factor 2 N pre_j - 1 of each stage
+            R *= 2.0 * N * pre - 1.0
+        weights = np.empty((4, N), dtype=complex)
+        power = R
+        for i, c in enumerate(self.COEFFS):
+            np.multiply(power, 0.5 * c, out=weights[i])
+            power = power * R
+        return weights
+
+    def guess(self, stage_index: int, y_hat: np.ndarray):
+        """Fourier coefficients of stage j's starting midpoint, or None
+        while fewer than four steps are recorded."""
+        n = self.steps
+        if n < 4:
+            return None
+        if self.weights is None:
+            self.weights = self._build_weights()
+        hist = self.history[stage_index - 1]
+        acc, work = self.guess_hat, self.work
+        np.copyto(acc, y_hat)
+        for i, w in enumerate(self.weights, start=1):
+            np.multiply(w, hist[(n - i) % 4], out=work)
+            np.add(acc, work, out=acc)
+        return acc
+
+    def record(self, stage_index: int, y_hat: np.ndarray, y_next_hat: np.ndarray):
+        np.subtract(y_next_hat, y_hat, out=self.history[stage_index - 1, self.steps % 4])
+
+
 def _stage_solve(ctx: _StepContext, stage_index: int,
-                 y_vals: np.ndarray, y_hat: np.ndarray):
+                 y_vals: np.ndarray, y_hat: np.ndarray, x0_hat=None):
     """Solve one midpoint stage; returns (y_next_vals, y_next_hat, iters).
 
+    The iteration starts from y_vals, or from ifft(x0_hat) when given.
     The returned arrays are fresh: observers may keep references to them.
     """
     sp = ctx.sp
     gain = ctx.gain[stage_index - 1]
     base = ctx.pre[stage_index - 1] * y_hat
-    x = y_vals.copy()           # the caller's y_vals is never written
+    # the caller's y_vals and x0_hat are never written
+    x = y_vals.copy() if x0_hat is None else np.fft.ifft(x0_hat)
     x_next = np.empty_like(x)
     z = np.empty_like(x)
     work = np.empty_like(x)     # the cubic term, then the iterate change
@@ -201,7 +276,8 @@ def _stage_solve(ctx: _StepContext, stage_index: int,
     raise StageDivergenceError(stage_index, sp.fp_max_iters, residual)
 
 
-def _step_arrays(ctx: _StepContext, u_vals: np.ndarray, u_hat: np.ndarray):
+def _step_arrays(ctx: _StepContext, u_vals: np.ndarray, u_hat: np.ndarray,
+                 predictor: _StagePredictor | None = None):
     """One full composition step on raw arrays."""
     report = StepReport(fp_iterations_per_stage=[], stability_margin=math.nan)
     if ctx.sp.stability_check:
@@ -214,8 +290,14 @@ def _step_arrays(ctx: _StepContext, u_vals: np.ndarray, u_hat: np.ndarray):
             )
     y_vals, y_hat = u_vals, u_hat
     for j in range(1, len(ctx.pre) + 1):
-        y_vals, y_hat, iters = _stage_solve(ctx, j, y_vals, y_hat)
+        x0_hat = None if predictor is None else predictor.guess(j, y_hat)
+        y_vals, y_next_hat, iters = _stage_solve(ctx, j, y_vals, y_hat, x0_hat)
+        if predictor is not None:
+            predictor.record(j, y_hat, y_next_hat)
+        y_hat = y_next_hat
         report.fp_iterations_per_stage.append(iters)
+    if predictor is not None:
+        predictor.steps += 1
     return y_vals, y_hat, report
 
 
@@ -246,6 +328,8 @@ def exact_step_count(T: float, k: float) -> int:
     studies rely on exact step counts.
     """
     ratio = T / k
+    if not math.isfinite(ratio):
+        raise ParameterError(f"T/k = {T!r}/{k!r} is not a finite step count")
     M = round(ratio)
     if M < 1 or abs(ratio - M) > 0.5 * math.ulp(abs(ratio)):
         raise ParameterError(
@@ -280,9 +364,10 @@ def evolve(U0: Field, T: float, scheme: CompositionScheme, sp: SolverParams,
     max_margin = math.nan if not sp.stability_check else -math.inf
     total_iters = 0
     flagged = 0
+    predictor = _StagePredictor(ctx)
     for n in range(1, M + 1):
         try:
-            u_vals, u_hat, report = _step_arrays(ctx, u_vals, u_hat)
+            u_vals, u_hat, report = _step_arrays(ctx, u_vals, u_hat, predictor)
         except StageDivergenceError as err:
             err.annotate(step_index=n, time=(n - 1) * sp.k)
             raise

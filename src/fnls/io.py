@@ -22,6 +22,7 @@ from typing import Any, Iterable, Union
 import numpy as np
 
 from .errors import ParameterError
+from .integrators import MAX_COMPOSITION_LEVEL, exact_step_count
 from .spectral import Field, SpectralGrid
 
 __all__ = [
@@ -102,14 +103,14 @@ class RunConfig:
             raise ParameterError(f"dt: must be positive, got {self.dt!r}")
         if not self.T > 0:
             raise ParameterError(f"T: must be positive, got {self.T!r}")
-        ratio = self.T / self.dt
-        if abs(ratio - round(ratio)) > 0.5 * math.ulp(abs(ratio)) or round(ratio) < 1:
+        try:
+            exact_step_count(self.T, self.dt)
+        except ParameterError as err:
+            raise ParameterError(f"dt: {err}") from None
+        if not 1 <= self.scheme_p <= MAX_COMPOSITION_LEVEL:
             raise ParameterError(
-                f"dt: T/dt = {ratio!r} must be a positive integer (dt must "
-                "divide T exactly)"
+                f"scheme_p: must lie in [1, {MAX_COMPOSITION_LEVEL}], got {self.scheme_p!r}"
             )
-        if self.scheme_p < 1:
-            raise ParameterError(f"scheme_p: must be >= 1, got {self.scheme_p!r}")
         if not self.fp_tol > 0:
             raise ParameterError(f"fp_tol: must be positive, got {self.fp_tol!r}")
         if self.fp_max_iters < 1:

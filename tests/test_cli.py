@@ -89,6 +89,19 @@ def test_simulate_rejects_nondividing_dt(tmp_path, capsys):
     assert "dt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, updates", [
+    ("dt", {"T": 1e308, "dt": 1e-10}),    # T/dt overflows to inf
+    ("scheme_p", {"scheme_p": 7}),         # above the composition-level bound
+])
+def test_simulate_rejects_unbounded_work(tmp_path, capsys, key, updates):
+    config = write_config(tmp_path, {**SIM_CONFIG, **updates})
+    code = main(["simulate", "--config", str(config), "--output", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG, err
+    assert f"{key}:" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_divergence_exit_code(tmp_path, capsys):
     config = write_config(tmp_path, {**SIM_CONFIG, "dt": 2.5, "T": 5.0,
                                      "fp_max_iters": 40})

@@ -10,6 +10,8 @@ from fnls import (
     FieldRecorder,
     ModelParams,
     ParameterError,
+    RunConfig,
+    SolitonInitial,
     SolitonParams,
     SolverParams,
     SpectralGrid,
@@ -25,6 +27,7 @@ from fnls import (
     step,
     yoshida_coefficients,
 )
+from fnls.integrators import MAX_COMPOSITION_LEVEL
 from conftest import smooth_random_field
 
 W1_ORDER4 = 1.3512071919596578
@@ -62,6 +65,13 @@ def test_yoshida_rejects_bad_level():
             yoshida_coefficients(p)
 
 
+def test_yoshida_rejects_level_above_bound():
+    # rejected before any coefficient is built
+    for p in (MAX_COMPOSITION_LEVEL + 1, 10**9):
+        with pytest.raises(ParameterError, match="composition level"):
+            yoshida_coefficients(p)
+
+
 def test_composition_scheme_validation():
     with pytest.raises(ParameterError):
         CompositionScheme(p=1, q=2, b=(1.0,), order=2)
@@ -88,6 +98,19 @@ def test_exact_step_count():
         exact_step_count(1.0, 0.3)
     with pytest.raises(ParameterError):
         exact_step_count(0.5, 0.7)
+
+
+def test_exact_step_count_rejects_overflow(small_grid):
+    for T, k in ((math.inf, 0.1), (1e308, 1e-10), (1.0, 1e-320)):
+        with pytest.raises(ParameterError, match="finite"):
+            exact_step_count(T, k)
+    u = smooth_random_field(small_grid, seed=29)
+    with pytest.raises(ParameterError):
+        evolve(u, math.inf, yoshida_coefficients(1), SolverParams(k=0.1), ModelParams(s=1.0))
+    config = RunConfig(L=np.pi, N=64, s=1.0, dt=0.1, T=math.inf, scheme_p=1,
+                       initial=SolitonInitial(1.0))
+    with pytest.raises(ParameterError, match="^dt:"):
+        config.validate()
 
 
 def test_stage_zero_field_converges_immediately(small_grid):
@@ -180,18 +203,60 @@ def test_step_matches_reference_loop(N, p, s, dealias):
 
 
 def test_evolve_snapshots_do_not_alias(small_grid):
+    # ten steps, so the stage predictor (from step 5 on) writes its history
+    # while observers hold earlier states
     u = smooth_random_field(small_grid, seed=31)
     before = u.values.copy()
     recorder = FieldRecorder()
-    evolve(u, 0.1, yoshida_coefficients(2), SolverParams(k=2e-2), ModelParams(s=0.75),
-           observers=(recorder,))
+    copies = []
+
+    def copier(n, t, field):
+        copies.append(field.values.copy())
+
+    evolve(u, 0.2, yoshida_coefficients(2), SolverParams(k=2e-2), ModelParams(s=0.75),
+           observers=(recorder, copier))
     np.testing.assert_array_equal(u.values, before)
     snaps = [f.values for _, f in recorder.records]
-    assert len(snaps) == 6
+    assert len(snaps) == len(copies) == 11
+    for a, copy in zip(snaps, copies):
+        np.testing.assert_array_equal(a, copy)
     for i, a in enumerate(snaps):
         for b in snaps[i + 1:]:
             assert not np.shares_memory(a, b)
             assert not np.array_equal(a, b)
+
+
+def test_evolve_predictor_exact_for_linear_flow(small_grid):
+    # steps 1-4 start from Y_{j-1} and take two sweeps per stage; from step 5
+    # the predicted midpoint is the fixed point, so one sweep confirms it
+    mp = ModelParams(s=0.75, linear=True)
+    u = smooth_random_field(small_grid, seed=43)
+    M, q = 10, 3
+    _, stats = evolve(u, 0.1, yoshida_coefficients(2), SolverParams(k=1e-2), mp)
+    assert stats.steps == M
+    assert round(stats.mean_fp_iterations * M * q) == 2 * 4 * q + 1 * (M - 4) * q
+
+
+@pytest.mark.parametrize("dealias", [False, True])
+@pytest.mark.parametrize("s", [0.6, 1.0])
+@pytest.mark.parametrize("p", [1, 2])
+def test_evolve_predictor_matches_step_loop(small_grid, p, s, dealias):
+    # step has no predictor: the states agree to the stopping tolerance,
+    # and evolve needs fewer iterations to get there
+    mp = ModelParams(s=s, dealias=dealias)
+    sp = SolverParams(k=2e-2, fp_tol=1e-13)
+    scheme = yoshida_coefficients(p)
+    u = smooth_random_field(small_grid, seed=37, amplitude=1.5)
+    M = 10
+    looped, loop_iters = u, 0
+    for _ in range(M):
+        looped, report = step(looped, scheme, sp, mp)
+        loop_iters += sum(report.fp_iterations_per_stage)
+    out, stats = evolve(u, M * sp.k, scheme, sp, mp)
+    assert stats.steps == M
+    diff = l2_norm(Field(out.values - looped.values, small_grid))
+    assert diff <= 10 * M * scheme.q * sp.fp_tol * l2_norm(u)
+    assert round(stats.mean_fp_iterations * M * scheme.q) < loop_iters
 
 
 @pytest.mark.parametrize("seed", range(5))
