@@ -23,6 +23,7 @@ from .harness import (
     InvariantDriftResult,
     InvariantRecorder,
     TrackRecord,
+    WaveTracker,
     build_initial_field,
     component_errors,
     convergence_study,

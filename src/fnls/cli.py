@@ -20,11 +20,10 @@ from pathlib import Path
 
 from .errors import FnlsError, ParameterError, TrackingError
 from .harness import (
-    FieldRecorder,
     InvariantRecorder,
+    WaveTracker,
     build_initial_field,
     convergence_study,
-    wave_tracking,
 )
 from .integrators import SolverParams, evolve, yoshida_coefficients
 from .io import (
@@ -60,17 +59,17 @@ def cmd_simulate(config: RunConfig) -> int:
                       fp_max_iters=config.fp_max_iters)
     mp = ModelParams(s=config.s, dealias=config.dealias)
     invariant_rec = InvariantRecorder(mp, stride=config.invariant_stride)
-    field_rec = FieldRecorder(stride=config.snapshot_stride)
+    tracker = WaveTracker(stride=config.snapshot_stride)
     snapshot_writer = SnapshotWriter(out, s=config.s, stride=config.snapshot_stride)
 
     start = time.perf_counter()
     _, stats = evolve(u0, config.T, scheme, sp, mp,
-                      observers=(invariant_rec, field_rec, snapshot_writer))
+                      observers=(invariant_rec, tracker, snapshot_writer))
     wall = time.perf_counter() - start
 
     write_invariants_csv(out / "invariants.csv", invariant_rec.records)
     try:
-        track = wave_tracking(field_rec.records)
+        track = tracker.records()
     except TrackingError as err:
         print(f"warning: tracking skipped: {err}", file=sys.stderr)
         track = []

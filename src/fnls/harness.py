@@ -9,7 +9,6 @@ processes since they share no mutable state.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,7 @@ __all__ = [
     "InvariantDriftResult",
     "InvariantRecorder",
     "FieldRecorder",
+    "WaveTracker",
     "SPEED_WINDOW",
     "build_initial_field",
     "component_errors",
@@ -215,9 +215,11 @@ def convergence_study(config: RunConfig, dt_list: list[float],
 
     Errors are measured against the exact soliton at time T, separately
     for the real and imaginary parts.  Rows run in up to ``workers``
-    processes (default: one per row); results keep the order of dt_list.
-    A failed row aborts the study; completed rows ride along on the
-    raised ConvergenceStudyError.
+    processes (default: one per row), submitted longest first (most
+    steps T/dt) so that the slowest row does not queue behind shorter
+    ones; results keep the order of dt_list.  A failed row aborts the
+    study; the rows before it in dt_list ride along on the raised
+    ConvergenceStudyError.
     """
     if not dt_list:
         raise ParameterError("dt_list must not be empty")
@@ -248,8 +250,15 @@ def convergence_study(config: RunConfig, dt_list: list[float],
             except Exception as err:
                 raise ConvergenceStudyError(job.dt, _attach_rates(dt_list, errors), err)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+        # kept local: importing concurrent.futures.process costs every
+        # `fnls simulate` start about 20 ms
+        longest_first = sorted(range(len(jobs)),
+                               key=lambda i: -exact_step_count(config.T, dt_list[i]))
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(_run_row, job) for job in jobs]
+            futures = [None] * len(jobs)
+            for i in longest_first:
+                futures[i] = pool.submit(_run_row, jobs[i])
             for job, future in zip(jobs, futures):
                 try:
                     errors.append(future.result())
@@ -376,30 +385,66 @@ def _peak_estimate(field: Field) -> tuple[float, float]:
     return math.sqrt(max(peak_sq, 0.0)), float(g.nodes[j] + delta)
 
 
-def wave_tracking(snapshots: list[tuple[float, Field]]) -> list[TrackRecord]:
-    """Track amplitude, unwrapped peak position, and windowed speed.
+class WaveTracker:
+    """Observer tracking the wave's amplitude and peak every ``stride``
+    steps; it keeps three floats per record, not the fields.
 
-    Peak positions are unwrapped across the periodic seam (consecutive
-    jumps larger than L are shifted by multiples of 2L).  The speed at
-    record i is the least-squares slope of peak_x over records
-    [i - W + 1, i] with W = SPEED_WINDOW, None while the window is
-    incomplete.
+    A field without a unique peak stops the tracking: the TrackingError
+    is kept, not raised inside evolve, and records() raises it.
     """
+
+    def __init__(self, stride: int = 1):
+        self.stride = stride
+        self.times: list[float] = []
+        self.amplitudes: list[float] = []
+        self.peaks: list[float] = []
+        self.L = math.nan
+        self.error: TrackingError | None = None
+
+    def __call__(self, n: int, t: float, field: Field) -> None:
+        if self.error is not None:
+            return
+        try:
+            amplitude, peak = _peak_estimate(field)
+        except TrackingError as err:
+            self.error = err
+            return
+        self.L = field.grid.L
+        self.times.append(t)
+        self.amplitudes.append(amplitude)
+        self.peaks.append(peak)
+
+    def records(self) -> list[TrackRecord]:
+        """Amplitude, unwrapped peak position, and windowed speed.
+
+        Peak positions are unwrapped across the periodic seam
+        (consecutive jumps larger than L are shifted by multiples of 2L).
+        The speed at record i is the least-squares slope of peak_x over
+        records [i - W + 1, i] with W = SPEED_WINDOW, None while the
+        window is incomplete.
+        """
+        if self.error is not None:
+            raise self.error
+        times = np.array(self.times)
+        peak_x = np.unwrap(np.array(self.peaks), period=2.0 * self.L)
+        records: list[TrackRecord] = []
+        for i in range(len(times)):
+            speed = None
+            if i >= SPEED_WINDOW - 1:
+                ts = times[i - SPEED_WINDOW + 1: i + 1]
+                xs = peak_x[i - SPEED_WINDOW + 1: i + 1]
+                speed = float(np.polyfit(ts, xs, 1)[0])
+            records.append(TrackRecord(t=float(times[i]), amplitude=self.amplitudes[i],
+                                       peak_x=float(peak_x[i]), speed=speed))
+        return records
+
+
+def wave_tracking(snapshots: list[tuple[float, Field]]) -> list[TrackRecord]:
+    """Track amplitude, unwrapped peak position, and windowed speed over
+    (t, Field) snapshots, as WaveTracker.records() does over a run."""
     if not snapshots:
         raise ParameterError("snapshots must not be empty")
-    times = np.array([t for t, _ in snapshots])
-    estimates = [_peak_estimate(f) for _, f in snapshots]
-    amplitudes = [a for a, _ in estimates]
-    L = snapshots[0][1].grid.L
-    peak_x = np.unwrap(np.array([x for _, x in estimates]), period=2.0 * L)
-
-    records: list[TrackRecord] = []
-    for i in range(len(snapshots)):
-        speed = None
-        if i >= SPEED_WINDOW - 1:
-            ts = times[i - SPEED_WINDOW + 1: i + 1]
-            xs = peak_x[i - SPEED_WINDOW + 1: i + 1]
-            speed = float(np.polyfit(ts, xs, 1)[0])
-        records.append(TrackRecord(t=float(times[i]), amplitude=amplitudes[i],
-                                   peak_x=float(peak_x[i]), speed=speed))
-    return records
+    tracker = WaveTracker()
+    for i, (t, field) in enumerate(snapshots):
+        tracker(i, t, field)
+    return tracker.records()

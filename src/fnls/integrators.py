@@ -26,6 +26,15 @@ formed once per stage, and each iteration is one cubic term, one FFT
 pair and one multiply-add, all written into buffers allocated once per
 stage solve.
 
+The state is carried between stages and steps as Fourier coefficients
+only.  The stopping test ||X_{n+1} - X_n|| <= fp_tol ||X_{n+1}|| is applied
+to Z, which by Parseval is the same test (||X|| = sqrt(N) ||Z||), so the
+converged stage is returned as fft(Y_next) = 2 N Z - fft(Y_prev) without
+an inverse transform.  A stage of n iterations costs 2n transforms: the
+inverse transform of its starting iterate, then n forward and n - 1
+inverse ones.  Physical values are formed only where something reads
+them: for observers, and for the returned Field.
+
 step and imr_stage_solve start every stage from X_0 = Y_prev.  evolve
 starts stage j of step n from an extrapolated midpoint instead, the
 standard starting approximation for implicit symplectic Runge-Kutta
@@ -176,9 +185,10 @@ class _StepContext:
                 self.gain.append(ihk * pre)
         self.max_abs_b = max(abs(bj) for bj in b)
 
-    def stability_margin(self, u_vals: np.ndarray) -> float:
-        # 3 R^2 k N max|b_j| with R the discrete L2 norm of the current state.
-        r_sq = self.grid.h * float(np.sum(np.abs(u_vals) ** 2))
+    def stability_margin(self, u_hat: np.ndarray) -> float:
+        # 3 R^2 k N max|b_j| with R the discrete L2 norm of the current
+        # state, taken from its coefficients u_hat = fft(u) by Parseval.
+        r_sq = self.grid.h * np.vdot(u_hat, u_hat).real / self.grid.N
         return 3.0 * r_sq * abs(self.sp.k) * self.grid.N * self.max_abs_b
 
 
@@ -210,12 +220,12 @@ class _StagePredictor:
             power = power * R
         return weights
 
-    def guess(self, stage_index: int, y_hat: np.ndarray):
-        """Fourier coefficients of stage j's starting midpoint, or None
+    def guess(self, stage_index: int, y_hat: np.ndarray) -> np.ndarray:
+        """Fourier coefficients of stage j's starting midpoint; y_hat itself
         while fewer than four steps are recorded."""
         n = self.steps
         if n < 4:
-            return None
+            return y_hat
         if self.weights is None:
             self.weights = self._build_weights()
         hist = self.history[stage_index - 1]
@@ -231,20 +241,20 @@ class _StagePredictor:
 
 
 def _stage_solve(ctx: _StepContext, stage_index: int,
-                 y_vals: np.ndarray, y_hat: np.ndarray, x0_hat=None):
-    """Solve one midpoint stage; returns (y_next_vals, y_next_hat, iters).
+                 y_hat: np.ndarray, x0_hat: np.ndarray):
+    """Solve one midpoint stage from fft(Y_prev) = y_hat; returns
+    (fft(Y_next), iters).
 
-    The iteration starts from y_vals, or from ifft(x0_hat) when given.
-    The returned arrays are fresh: observers may keep references to them.
+    The iteration starts from X_0 = ifft(x0_hat).  Neither input is
+    written, and the returned array is fresh.
     """
     sp = ctx.sp
     gain = ctx.gain[stage_index - 1]
     base = ctx.pre[stage_index - 1] * y_hat
-    # the caller's y_vals and x0_hat are never written
-    x = y_vals.copy() if x0_hat is None else np.fft.ifft(x0_hat)
-    x_next = np.empty_like(x)
-    z = np.empty_like(x)
-    work = np.empty_like(x)     # the cubic term, then the iterate change
+    z = x0_hat / ctx.grid.N
+    x = np.fft.ifft(z, norm="forward")
+    z_next = np.empty_like(z)
+    work = np.empty_like(z)     # the cubic term, then the iterate change
     mod = np.empty(x.shape)
     diff = norm = 0.0
     # diverging iterates may overflow before the cap trips; that is the
@@ -254,51 +264,49 @@ def _stage_solve(ctx: _StepContext, stage_index: int,
             np.abs(x, out=mod)
             np.multiply(mod, mod, out=mod)
             np.multiply(mod, x, out=work)
-            np.fft.fft(work, out=z)
-            np.multiply(z, gain, out=z)
-            np.add(z, base, out=z)
-            np.fft.ifft(z, norm="forward", out=x_next)
-            np.subtract(x_next, x, out=work)
+            np.fft.fft(work, out=z_next)
+            np.multiply(z_next, gain, out=z_next)
+            np.add(z_next, base, out=z_next)
+            np.subtract(z_next, z, out=work)
             diff = math.sqrt(np.vdot(work, work).real)
-            norm = math.sqrt(np.vdot(x_next, x_next).real)
-            x, x_next = x_next, x
+            norm = math.sqrt(np.vdot(z_next, z_next).real)
+            z, z_next = z_next, z
             if not math.isfinite(norm):
                 # overflow: bail out now, the tolerance test would be
                 # vacuous (inf <= fp_tol * inf)
                 raise StageDivergenceError(stage_index, it, math.inf)
             if diff <= sp.fp_tol * norm:
-                np.multiply(x, 2.0, out=x)
-                np.subtract(x, y_vals, out=x)
                 np.multiply(z, 2.0 * ctx.grid.N, out=z)
                 np.subtract(z, y_hat, out=z)
-                return x, z, it
+                return z, it
+            np.fft.ifft(z, norm="forward", out=x)
     residual = diff / norm if norm > 0.0 else math.inf
     raise StageDivergenceError(stage_index, sp.fp_max_iters, residual)
 
 
-def _step_arrays(ctx: _StepContext, u_vals: np.ndarray, u_hat: np.ndarray,
+def _step_arrays(ctx: _StepContext, u_hat: np.ndarray,
                  predictor: _StagePredictor | None = None):
-    """One full composition step on raw arrays."""
+    """One full composition step on the coefficients fft(U_n)."""
     report = StepReport(fp_iterations_per_stage=[], stability_margin=math.nan)
     if ctx.sp.stability_check:
-        margin = ctx.stability_margin(u_vals)
+        margin = ctx.stability_margin(u_hat)
         report.stability_margin = margin
         if margin >= 1.0:
             report.warnings.append(
                 f"stability margin {margin:.3g} >= 1: stage fixed points "
                 "may be non-unique"
             )
-    y_vals, y_hat = u_vals, u_hat
+    y_hat = u_hat
     for j in range(1, len(ctx.pre) + 1):
-        x0_hat = None if predictor is None else predictor.guess(j, y_hat)
-        y_vals, y_next_hat, iters = _stage_solve(ctx, j, y_vals, y_hat, x0_hat)
+        x0_hat = y_hat if predictor is None else predictor.guess(j, y_hat)
+        y_next_hat, iters = _stage_solve(ctx, j, y_hat, x0_hat)
         if predictor is not None:
             predictor.record(j, y_hat, y_next_hat)
         y_hat = y_next_hat
         report.fp_iterations_per_stage.append(iters)
     if predictor is not None:
         predictor.steps += 1
-    return y_vals, y_hat, report
+    return y_hat, report
 
 
 def imr_stage_solve(Y_prev: Field, b_j: float, sp: SolverParams,
@@ -307,18 +315,17 @@ def imr_stage_solve(Y_prev: Field, b_j: float, sp: SolverParams,
     if b_j == 0.0:
         raise ParameterError("stage coefficient b_j must be nonzero")
     ctx = _StepContext(Y_prev.grid, (float(b_j),), sp, mp)
-    y_vals = Y_prev.values
-    y_next, _, iters = _stage_solve(ctx, 1, y_vals, np.fft.fft(y_vals))
-    return Field(y_next, Y_prev.grid), iters
+    y_hat = np.fft.fft(Y_prev.values)
+    y_next_hat, iters = _stage_solve(ctx, 1, y_hat, y_hat)
+    return Field(np.fft.ifft(y_next_hat), Y_prev.grid), iters
 
 
 def step(U_n: Field, scheme: CompositionScheme, sp: SolverParams,
          mp: ModelParams) -> tuple[Field, StepReport]:
     """Advance one composition step of length k."""
     ctx = _StepContext(U_n.grid, scheme.b, sp, mp)
-    u_vals = U_n.values
-    y_vals, _, report = _step_arrays(ctx, u_vals, np.fft.fft(u_vals))
-    return Field(y_vals, U_n.grid), report
+    y_hat, report = _step_arrays(ctx, np.fft.fft(U_n.values))
+    return Field(np.fft.ifft(y_hat), U_n.grid), report
 
 
 def exact_step_count(T: float, k: float) -> int:
@@ -355,19 +362,18 @@ def evolve(U0: Field, T: float, scheme: CompositionScheme, sp: SolverParams,
     ctx = _StepContext(grid, scheme.b, sp, mp)
     strides = [max(1, int(getattr(obs, "stride", 1))) for obs in observers]
 
-    u_vals = U0.values
-    u_hat = np.fft.fft(u_vals)
+    u_hat = np.fft.fft(U0.values)
     for obs in observers:
         obs(0, 0.0, U0)
 
-    initial_margin = ctx.stability_margin(u_vals)
+    initial_margin = ctx.stability_margin(u_hat)
     max_margin = math.nan if not sp.stability_check else -math.inf
     total_iters = 0
     flagged = 0
     predictor = _StagePredictor(ctx)
     for n in range(1, M + 1):
         try:
-            u_vals, u_hat, report = _step_arrays(ctx, u_vals, u_hat, predictor)
+            u_hat, report = _step_arrays(ctx, u_hat, predictor)
         except StageDivergenceError as err:
             err.annotate(step_index=n, time=(n - 1) * sp.k)
             raise
@@ -377,7 +383,7 @@ def evolve(U0: Field, T: float, scheme: CompositionScheme, sp: SolverParams,
             if report.warnings:
                 flagged += 1
         if any(n % stride == 0 for stride in strides):
-            field_n = Field(u_vals, grid)
+            field_n = Field(np.fft.ifft(u_hat), grid)
             t_n = n * sp.k
             for obs, stride in zip(observers, strides):
                 if n % stride == 0:
@@ -396,4 +402,4 @@ def evolve(U0: Field, T: float, scheme: CompositionScheme, sp: SolverParams,
         initial_stability_margin=initial_margin,
         warnings=warnings,
     )
-    return Field(u_vals, grid), stats
+    return Field(np.fft.ifft(u_hat), grid), stats

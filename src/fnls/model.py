@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .spectral import Field, dealias, derivative, fractional_laplacian, l2_norm
+from .spectral import Field, SpectralGrid, dealias, fractional_laplacian
 
 __all__ = [
     "ModelParams",
@@ -90,34 +90,51 @@ def rhs(u: Field, p: ModelParams) -> Field:
     return Field(-1j * lap + 1j * cubic.values, u.grid)
 
 
+def _power_spectrum(u: Field) -> np.ndarray:
+    """|fft(u)_k|^2 / N, so that sum_j |(S u)_j|^2 = sum_k |sigma_k|^2 times
+    this for a Fourier multiplier S with symbol sigma (Parseval)."""
+    c = np.fft.fft(u.values)
+    return (c.real ** 2 + c.imag ** 2) / u.grid.N
+
+
+def _momentum(g: SpectralGrid, power: np.ndarray) -> float:
+    # sum_j u_j conj((Du)_j) = sum_k conj(i kappa_k) |u_hat_k|^2 / N, with
+    # the Nyquist mode zeroed as in derivative_symbol
+    return float(-0.5 * g.h * np.dot(g.derivative_symbol.imag, power))
+
+
+def _hamiltonian(u: Field, power: np.ndarray, s: float) -> float:
+    g = u.grid
+    kinetic = 0.5 * np.dot(g.fractional_symbol(s), power)
+    potential = 0.5 * np.sum((u.values.real ** 2 + u.values.imag ** 2) ** 2)
+    return float(g.h * (kinetic - potential))
+
+
 def mass(u: Field) -> float:
     """I1 = (h/2) sum_j |u_j|^2."""
     return float(0.5 * u.grid.h * np.sum(np.abs(u.values) ** 2))
 
 
 def momentum(u: Field) -> float:
-    """I2 = (h/2) sum_j Im(u_j conj((Du)_j)) with D the spectral derivative."""
-    du = derivative(u).values
-    return float(0.5 * u.grid.h * np.sum(np.imag(u.values * np.conj(du))))
+    """I2 = (h/2) sum_j Im(u_j conj((Du)_j)) with D the spectral derivative,
+    evaluated by Parseval as -(h/2N) sum_k kappa_k |u_hat_k|^2."""
+    return _momentum(u.grid, _power_spectrum(u))
 
 
 def hamiltonian(u: Field, p: ModelParams) -> float:
     """H = h sum_j ( |(|D|^s u)_j|^2 / 2 - |u_j|^4 / 2 ).
 
-    |D|^s is the half-power multiplier |pi k / L|^s, applied directly
-    rather than as a square root of the fractional Laplacian.
+    |D|^s is the half-power multiplier |pi k / L|^s; by Parseval the
+    kinetic term is (1/2N) sum_k |pi k / L|^(2s) |u_hat_k|^2.
     """
-    g = u.grid
-    half_symbol = np.abs(g.kappa) ** p.s
-    dsu = np.fft.ifft(half_symbol * np.fft.fft(u.values))
-    kinetic = 0.5 * np.sum(np.abs(dsu) ** 2)
-    potential = 0.5 * np.sum(np.abs(u.values) ** 4)
-    return float(g.h * (kinetic - potential))
+    return _hamiltonian(u, _power_spectrum(u), p.s)
 
 
 def invariants(t: float, u: Field, p: ModelParams) -> InvariantRecord:
-    """Evaluate all three conserved functionals at time t."""
-    return InvariantRecord(t=t, I1=mass(u), I2=momentum(u), H=hamiltonian(u, p))
+    """Evaluate all three conserved functionals at time t (one FFT)."""
+    power = _power_spectrum(u)
+    return InvariantRecord(t=t, I1=mass(u), I2=_momentum(u.grid, power),
+                           H=_hamiltonian(u, power, p.s))
 
 
 def hs_bound_diagnostic(u0: Field, p: ModelParams) -> HsBoundDiagnostic:

@@ -16,6 +16,7 @@ from fnls import (
     SpectralGrid,
     StageDivergenceError,
     TrackingError,
+    WaveTracker,
     build_initial_field,
     component_errors,
     convergence_study,
@@ -97,6 +98,20 @@ def test_convergence_study_divergence_carries_partial_rows():
     assert isinstance(err.__cause__, StageDivergenceError)
     back = pickle.loads(pickle.dumps(err))
     assert back.failed_dt == 2.6 and len(back.partial_rows) == 1
+    # the pool submits the longer 1e-2 row first but reports in dt_list order
+    with pytest.raises(ConvergenceStudyError) as info:
+        convergence_study(config, [1e-2, 2.6], workers=2)
+    assert info.value.failed_dt == 2.6
+    assert [row.dt for row in info.value.partial_rows] == [1e-2]
+    assert isinstance(info.value.__cause__, StageDivergenceError)
+
+
+def test_convergence_study_pool_keeps_unsorted_dt_order():
+    dts = [1e-2, 2e-2, 5e-3]
+    seq = convergence_study(desk_config(), dts, workers=1)
+    par = convergence_study(desk_config(), dts, workers=2)
+    assert [row.dt for row in par] == dts
+    assert par == seq
 
 
 def test_error_growth_study_linear_in_time():
@@ -202,6 +217,22 @@ def test_tracking_flat_field_raises(small_grid):
     flat = Field(np.ones(small_grid.N), small_grid)
     with pytest.raises(TrackingError):
         wave_tracking([(0.0, flat)])
+
+
+def test_wave_tracker_keeps_first_error(small_grid):
+    flat = Field(np.ones(small_grid.N), small_grid)
+    peaked = Field(np.exp(-small_grid.nodes**2) + 0j, small_grid)
+    tracker = WaveTracker()
+    tracker(0, 0.0, peaked)
+    tracker(1, 0.5, flat)
+    first = tracker.error
+    assert isinstance(first, TrackingError)
+    tracker(2, 1.0, flat)
+    tracker(3, 1.5, peaked)
+    assert tracker.error is first and tracker.times == [0.0]
+    with pytest.raises(TrackingError) as info:
+        tracker.records()
+    assert info.value is first
 
 
 def test_tracking_empty_input():

@@ -237,6 +237,35 @@ def test_evolve_predictor_exact_for_linear_flow(small_grid):
     assert round(stats.mean_fp_iterations * M * q) == 2 * 4 * q + 1 * (M - 4) * q
 
 
+@pytest.mark.parametrize("stride", [None, 1, 3])
+def test_evolve_carries_coefficients(small_grid, monkeypatch, stride):
+    # a stage of n iterations costs 2n transforms; evolve adds one forward
+    # transform of U0, one inverse transform per observed step and one for
+    # the returned field
+    u = smooth_random_field(small_grid, seed=89)
+    calls = [0]
+
+    def counted(transform):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return transform(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
+    observers, observed = (), 0
+    M, q = 12, 3
+    if stride is not None:
+        def observer(n, t, field):
+            pass
+        observer.stride = stride
+        observers, observed = (observer,), M // stride
+    _, stats = evolve(u, M * 2e-2, yoshida_coefficients(2), SolverParams(k=2e-2),
+                      ModelParams(s=0.75), observers=observers)
+    total_iters = round(stats.mean_fp_iterations * M * q)
+    assert calls[0] == 2 * total_iters + 2 + observed
+
+
 @pytest.mark.parametrize("dealias", [False, True])
 @pytest.mark.parametrize("s", [0.6, 1.0])
 @pytest.mark.parametrize("p", [1, 2])
@@ -379,6 +408,16 @@ def test_stability_margin_warning_aggregation(small_grid):
     assert stats.max_stability_margin >= 1.0
     assert len(stats.warnings) == 1
     assert "stability margin" in stats.warnings[0]
+
+
+def test_stability_margin_value(small_grid):
+    # 3 R^2 k N max|b_j| with R the discrete L2 norm of the state
+    u = smooth_random_field(small_grid, seed=97)
+    sp = SolverParams(k=2e-2)
+    scheme = yoshida_coefficients(2)
+    _, stats = evolve(u, 2 * sp.k, scheme, sp, ModelParams(s=1.0))
+    expected = 3 * l2_norm(u) ** 2 * sp.k * small_grid.N * max(abs(b) for b in scheme.b)
+    assert stats.initial_stability_margin == pytest.approx(expected, rel=1e-13)
 
 
 def test_stability_check_can_be_disabled(small_grid):
