@@ -23,8 +23,10 @@ multipliers per stage, pre_j = A^{-1} / N and gain_j = i (k b_j / 2) pre_j P
 so Z is the coefficient vector of X scaled by 1/N and the inverse
 transform applies no normalization (numpy's norm="forward").  base is
 formed once per stage, and each iteration is one cubic term, one FFT
-pair and one multiply-add, all written into buffers allocated once per
-stage solve.
+pair and one multiply-add.  One kernel, _stage_solve, solves every stage
+for step, imr_stage_solve and evolve; it writes into work buffers that
+its _StepContext allocates once, and fft(Y_next) into an array the
+caller provides, so a run allocates nothing per stage or step.
 
 The state is carried between stages and steps as Fourier coefficients
 only.  The stopping test ||X_{n+1} - X_n|| <= fp_tol ||X_{n+1}|| is applied
@@ -164,7 +166,9 @@ class RunStats:
 
 
 class _StepContext:
-    """Arrays precomputed once per (grid, coefficients, solver, model)."""
+    """Stage multipliers precomputed once per (grid, coefficients, solver,
+    model), and the work buffers of the stage kernel, allocated once and
+    reused by every stage solved with this context."""
 
     def __init__(self, grid: SpectralGrid, b: tuple[float, ...],
                  sp: SolverParams, mp: ModelParams):
@@ -184,6 +188,12 @@ class _StepContext:
             else:
                 self.gain.append(ihk * pre)
         self.max_abs_b = max(abs(bj) for bj in b)
+        N = grid.N
+        self.x = np.empty(N, dtype=complex)         # nodal iterate X_n
+        self.z = (np.empty(N, dtype=complex), np.empty(N, dtype=complex))
+        self.work = np.empty(N, dtype=complex)      # cubic term, iterate change
+        self.mod = np.empty(N)                      # |X_n|^2
+        self.base = np.empty(N, dtype=complex)      # pre_j fft(Y_prev)
 
     def stability_margin(self, u_hat: np.ndarray) -> float:
         # 3 R^2 k N max|b_j| with R the discrete L2 norm of the current
@@ -240,73 +250,52 @@ class _StagePredictor:
         np.subtract(y_next_hat, y_hat, out=self.history[stage_index - 1, self.steps % 4])
 
 
-def _stage_solve(ctx: _StepContext, stage_index: int,
-                 y_hat: np.ndarray, x0_hat: np.ndarray):
-    """Solve one midpoint stage from fft(Y_prev) = y_hat; returns
-    (fft(Y_next), iters).
+# Diverging stage iterates may overflow before the iteration cap trips;
+# that is the expected failure route, not a condition worth a numpy
+# warning.  Each entry point enters this scope once around its stages.
+_QUIET_OVERFLOW = {"over": "ignore", "invalid": "ignore"}
 
-    The iteration starts from X_0 = ifft(x0_hat).  Neither input is
-    written, and the returned array is fresh.
+
+def _stage_solve(ctx: _StepContext, stage_index: int, y_hat: np.ndarray,
+                 x0_hat: np.ndarray, out: np.ndarray) -> int:
+    """Solve one midpoint stage from fft(Y_prev) = y_hat, starting from
+    X_0 = ifft(x0_hat); writes fft(Y_next) into out and returns the
+    iteration count.
+
+    Neither input is written; x0_hat may be y_hat, but out must be
+    distinct from both.  The caller holds the _QUIET_OVERFLOW scope.
     """
     sp = ctx.sp
+    N = ctx.grid.N
     gain = ctx.gain[stage_index - 1]
-    base = ctx.pre[stage_index - 1] * y_hat
-    z = x0_hat / ctx.grid.N
-    x = np.fft.ifft(z, norm="forward")
-    z_next = np.empty_like(z)
-    work = np.empty_like(z)     # the cubic term, then the iterate change
-    mod = np.empty(x.shape)
+    x, work, mod, base = ctx.x, ctx.work, ctx.mod, ctx.base
+    z, z_next = ctx.z
+    np.multiply(ctx.pre[stage_index - 1], y_hat, out=base)
+    np.divide(x0_hat, N, out=z)
+    np.fft.ifft(z, norm="forward", out=x)
     diff = norm = 0.0
-    # diverging iterates may overflow before the cap trips; that is the
-    # expected failure route, not a condition worth a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, sp.fp_max_iters + 1):
-            np.abs(x, out=mod)
-            np.multiply(mod, mod, out=mod)
-            np.multiply(mod, x, out=work)
-            np.fft.fft(work, out=z_next)
-            np.multiply(z_next, gain, out=z_next)
-            np.add(z_next, base, out=z_next)
-            np.subtract(z_next, z, out=work)
-            diff = math.sqrt(np.vdot(work, work).real)
-            norm = math.sqrt(np.vdot(z_next, z_next).real)
-            z, z_next = z_next, z
-            if not math.isfinite(norm):
-                # overflow: bail out now, the tolerance test would be
-                # vacuous (inf <= fp_tol * inf)
-                raise StageDivergenceError(stage_index, it, math.inf)
-            if diff <= sp.fp_tol * norm:
-                np.multiply(z, 2.0 * ctx.grid.N, out=z)
-                np.subtract(z, y_hat, out=z)
-                return z, it
-            np.fft.ifft(z, norm="forward", out=x)
+    for it in range(1, sp.fp_max_iters + 1):
+        np.abs(x, out=mod)
+        np.multiply(mod, mod, out=mod)
+        np.multiply(mod, x, out=work)
+        np.fft.fft(work, out=z_next)
+        np.multiply(z_next, gain, out=z_next)
+        np.add(z_next, base, out=z_next)
+        np.subtract(z_next, z, out=work)
+        diff = math.sqrt(np.vdot(work, work).real)
+        norm = math.sqrt(np.vdot(z_next, z_next).real)
+        z, z_next = z_next, z
+        if not math.isfinite(norm):
+            # overflow: bail out now, the tolerance test would be
+            # vacuous (inf <= fp_tol * inf)
+            raise StageDivergenceError(stage_index, it, math.inf)
+        if diff <= sp.fp_tol * norm:
+            np.multiply(z, 2.0 * N, out=out)
+            np.subtract(out, y_hat, out=out)
+            return it
+        np.fft.ifft(z, norm="forward", out=x)
     residual = diff / norm if norm > 0.0 else math.inf
     raise StageDivergenceError(stage_index, sp.fp_max_iters, residual)
-
-
-def _step_arrays(ctx: _StepContext, u_hat: np.ndarray,
-                 predictor: _StagePredictor | None = None):
-    """One full composition step on the coefficients fft(U_n)."""
-    report = StepReport(fp_iterations_per_stage=[], stability_margin=math.nan)
-    if ctx.sp.stability_check:
-        margin = ctx.stability_margin(u_hat)
-        report.stability_margin = margin
-        if margin >= 1.0:
-            report.warnings.append(
-                f"stability margin {margin:.3g} >= 1: stage fixed points "
-                "may be non-unique"
-            )
-    y_hat = u_hat
-    for j in range(1, len(ctx.pre) + 1):
-        x0_hat = y_hat if predictor is None else predictor.guess(j, y_hat)
-        y_next_hat, iters = _stage_solve(ctx, j, y_hat, x0_hat)
-        if predictor is not None:
-            predictor.record(j, y_hat, y_next_hat)
-        y_hat = y_next_hat
-        report.fp_iterations_per_stage.append(iters)
-    if predictor is not None:
-        predictor.steps += 1
-    return y_hat, report
 
 
 def imr_stage_solve(Y_prev: Field, b_j: float, sp: SolverParams,
@@ -316,7 +305,9 @@ def imr_stage_solve(Y_prev: Field, b_j: float, sp: SolverParams,
         raise ParameterError("stage coefficient b_j must be nonzero")
     ctx = _StepContext(Y_prev.grid, (float(b_j),), sp, mp)
     y_hat = np.fft.fft(Y_prev.values)
-    y_next_hat, iters = _stage_solve(ctx, 1, y_hat, y_hat)
+    y_next_hat = np.empty_like(y_hat)
+    with np.errstate(**_QUIET_OVERFLOW):
+        iters = _stage_solve(ctx, 1, y_hat, y_hat, y_next_hat)
     return Field(np.fft.ifft(y_next_hat), Y_prev.grid), iters
 
 
@@ -324,7 +315,21 @@ def step(U_n: Field, scheme: CompositionScheme, sp: SolverParams,
          mp: ModelParams) -> tuple[Field, StepReport]:
     """Advance one composition step of length k."""
     ctx = _StepContext(U_n.grid, scheme.b, sp, mp)
-    y_hat, report = _step_arrays(ctx, np.fft.fft(U_n.values))
+    y_hat = np.fft.fft(U_n.values)
+    report = StepReport(fp_iterations_per_stage=[], stability_margin=math.nan)
+    if sp.stability_check:
+        margin = ctx.stability_margin(y_hat)
+        report.stability_margin = margin
+        if margin >= 1.0:
+            report.warnings.append(
+                f"stability margin {margin:.3g} >= 1: stage fixed points "
+                "may be non-unique"
+            )
+    spare = np.empty_like(y_hat)
+    with np.errstate(**_QUIET_OVERFLOW):
+        for j in range(1, scheme.q + 1):
+            report.fp_iterations_per_stage.append(_stage_solve(ctx, j, y_hat, y_hat, spare))
+            y_hat, spare = spare, y_hat
     return Field(np.fft.ifft(y_hat), U_n.grid), report
 
 
@@ -371,23 +376,32 @@ def evolve(U0: Field, T: float, scheme: CompositionScheme, sp: SolverParams,
     total_iters = 0
     flagged = 0
     predictor = _StagePredictor(ctx)
-    for n in range(1, M + 1):
-        try:
-            u_hat, report = _step_arrays(ctx, u_hat, predictor)
-        except StageDivergenceError as err:
-            err.annotate(step_index=n, time=(n - 1) * sp.k)
-            raise
-        total_iters += sum(report.fp_iterations_per_stage)
-        if sp.stability_check:
-            max_margin = max(max_margin, report.stability_margin)
-            if report.warnings:
-                flagged += 1
-        if any(n % stride == 0 for stride in strides):
-            field_n = Field(np.fft.ifft(u_hat), grid)
-            t_n = n * sp.k
-            for obs, stride in zip(observers, strides):
-                if n % stride == 0:
-                    obs(n, t_n, field_n)
+    spare = np.empty_like(u_hat)    # u_hat and spare alternate as stage output
+    caller_errstate = np.geterr()
+    with np.errstate(**_QUIET_OVERFLOW):
+        for n in range(1, M + 1):
+            if sp.stability_check:
+                margin = ctx.stability_margin(u_hat)
+                max_margin = max(max_margin, margin)
+                flagged += margin >= 1.0
+            try:
+                for j in range(1, scheme.q + 1):
+                    x0_hat = predictor.guess(j, u_hat)
+                    total_iters += _stage_solve(ctx, j, u_hat, x0_hat, spare)
+                    predictor.record(j, u_hat, spare)
+                    u_hat, spare = spare, u_hat
+            except StageDivergenceError as err:
+                err.annotate(step_index=n, time=(n - 1) * sp.k)
+                raise
+            predictor.steps += 1
+            if any(n % stride == 0 for stride in strides):
+                field_n = Field(np.fft.ifft(u_hat), grid)
+                t_n = n * sp.k
+                # observers run under the caller's numpy error handling
+                with np.errstate(**caller_errstate):
+                    for obs, stride in zip(observers, strides):
+                        if n % stride == 0:
+                            obs(n, t_n, field_n)
 
     warnings = []
     if flagged:

@@ -213,8 +213,8 @@ def test_evolve_snapshots_do_not_alias(small_grid):
     def copier(n, t, field):
         copies.append(field.values.copy())
 
-    evolve(u, 0.2, yoshida_coefficients(2), SolverParams(k=2e-2), ModelParams(s=0.75),
-           observers=(recorder, copier))
+    out, _ = evolve(u, 0.2, yoshida_coefficients(2), SolverParams(k=2e-2),
+                    ModelParams(s=0.75), observers=(recorder, copier))
     np.testing.assert_array_equal(u.values, before)
     snaps = [f.values for _, f in recorder.records]
     assert len(snaps) == len(copies) == 11
@@ -222,6 +222,33 @@ def test_evolve_snapshots_do_not_alias(small_grid):
         np.testing.assert_array_equal(a, copy)
     for i, a in enumerate(snaps):
         for b in snaps[i + 1:]:
+            assert not np.shares_memory(a, b)
+            assert not np.array_equal(a, b)
+    # the returned field is the last observed state, in memory of its own
+    np.testing.assert_array_equal(out.values, copies[-1])
+    for a in snaps + [u.values]:
+        assert not np.shares_memory(out.values, a)
+
+
+def test_step_and_stage_outputs_do_not_alias(small_grid):
+    # the stage kernel works in buffers owned by its context; every entry
+    # point still hands back fresh arrays that later calls leave alone
+    mp = ModelParams(s=0.75)
+    sp = SolverParams(k=2e-2)
+    scheme = yoshida_coefficients(2)
+    u = smooth_random_field(small_grid, seed=31)
+    first, _ = step(u, scheme, sp, mp)
+    second, _ = step(first, scheme, sp, mp)
+    staged, _ = imr_stage_solve(second, W1_ORDER4, sp, mp)
+    copies = [a.values.copy() for a in (u, first, second, staged)]
+    later, _ = imr_stage_solve(staged, W0_ORDER4, sp, mp)
+    last, _ = step(later, scheme, sp, mp)
+    outputs = [u.values, first.values, second.values, staged.values,
+               later.values, last.values]
+    for a, copy in zip(outputs, copies):
+        np.testing.assert_array_equal(a, copy)
+    for i, a in enumerate(outputs):
+        for b in outputs[i + 1:]:
             assert not np.shares_memory(a, b)
             assert not np.array_equal(a, b)
 
