@@ -7,23 +7,30 @@ b_1 k, ..., b_q k:
 
 The coefficients come from Yoshida's triple-jump recursion, giving order
 2p with q = 3^(p-1) stages.  Each implicit stage is solved by the
-preconditioned fixed-point iteration
+mean-field preconditioned fixed-point iteration
 
-    X_{n+1} = A^{-1} ( Y_prev + i (k b_j / 2) P(|X_n|^2 X_n) ),
-    A = I + i (k b_j / 2) (-d_xx)^s,
+    X_{n+1} = A^{-1} ( Y_prev + i (k b_j / 2) P((|X_n|^2 - c) X_n) ),
+    A = I + i (k b_j / 2) ((-d_xx)^s - c P),
 
 with A inverted exactly mode by mode, and X* the midpoint so that
-Y_next = 2 X* - Y_prev.  In Fourier space the map is two diagonal
-multipliers per stage, pre_j = A^{-1} / N and gain_j = i (k b_j / 2) pre_j P
-(P folded in as the dealiasing mask, gain_j = 0 for the linear model):
+Y_next = 2 X* - Y_prev.  P is the dealiasing mask, or 1 without
+dealiasing.  Moving c P X from the right-hand side into A leaves the
+fixed point unchanged and only changes the path to it: the shift takes
+the mean of the cubic term's linearization, 2 |X|^2, into the
+preconditioner, so the map contracts faster on fields that are not
+localized.  c = 2 mean|u|^2 = 2 ||fft(u)||^2 / N^2 is taken once, by
+Parseval, from the state the _StepContext starts from (the discrete mass
+is conserved); c = 0 for the linear model.  In Fourier space the map is
+two diagonal multipliers per stage, pre_j = A^{-1} / N and
+gain_j = i (k b_j / 2) pre_j P (gain_j = 0 for the linear model):
 
-    Z_{n+1} = gain_j fft(|X_n|^2 X_n) + base,   base = pre_j fft(Y_prev),
+    Z_{n+1} = gain_j fft((|X_n|^2 - c) X_n) + base,   base = pre_j fft(Y_prev),
     X_{n+1} = N ifft(Z_{n+1}),
 
 so Z is the coefficient vector of X scaled by 1/N and the inverse
 transform applies no normalization (numpy's norm="forward").  base is
-formed once per stage, and each iteration is one cubic term, one FFT
-pair and one multiply-add.  One kernel, _stage_solve, solves every stage
+formed once per stage, and each iteration is one shifted cubic term, one
+FFT pair and one multiply-add.  One kernel, _stage_solve, solves every stage
 for step, imr_stage_solve and evolve; it writes into work buffers that
 its _StepContext allocates once, and fft(Y_next) into an array the
 caller provides, so a run allocates nothing per stage or step.
@@ -48,8 +55,9 @@ of the last four steps and, from step 5 on, starts from
     c = (4, -6, 4, -1),  R = prod_j (1 - i (k b_j/2) lam) / (1 + i (k b_j/2) lam),
 
 a cubic extrapolation of the increment in the frame of the linear
-propagator R of one full step.  The predictor is exact for the linear
-flow; without the R^i factors the stiff modes, which rotate by more than
+propagator R of one full step.  R uses the unshifted symbol lam, not the
+shifted preconditioner, and is built at the first predicted stage.  The
+predictor is exact for the linear flow; without the R^i factors the stiff modes, which rotate by more than
 pi/3 per step, are amplified by the extrapolation and the stage solve can
 diverge.  Only the starting iterate changes: the fixed-point map and its
 stopping test are the same, so the converged stages are too.
@@ -165,21 +173,30 @@ class RunStats:
     warnings: list[str] = field(default_factory=list)
 
 
+def _inverse_symbol(N: int, ihk: complex, sym: np.ndarray) -> np.ndarray:
+    """(1 + ihk sym)^-1 / N mode by mode."""
+    return 1.0 / (N + (N * ihk) * sym)
+
+
 class _StepContext:
     """Stage multipliers precomputed once per (grid, coefficients, solver,
-    model), and the work buffers of the stage kernel, allocated once and
-    reused by every stage solved with this context."""
+    model) and starting state u_hat = fft(u), and the work buffers of the
+    stage kernel, allocated once and reused by every stage solved with
+    this context."""
 
     def __init__(self, grid: SpectralGrid, b: tuple[float, ...],
-                 sp: SolverParams, mp: ModelParams):
+                 sp: SolverParams, mp: ModelParams, u_hat: np.ndarray):
         self.grid = grid
         self.sp = sp
-        lam = grid.fractional_symbol(mp.s)
+        self.lam = lam = grid.fractional_symbol(mp.s)
+        self.ihk = [0.5j * sp.k * bj for bj in b]
+        # mean-field shift c = 2 mean|u|^2, by Parseval
+        self.shift = 0.0 if mp.linear else 2.0 * np.vdot(u_hat, u_hat).real / grid.N ** 2
+        shifted = lam - self.shift * (grid.dealias_mask if mp.dealias else 1.0)
         self.pre = []
         self.gain = []
-        for bj in b:
-            ihk = 0.5j * sp.k * bj
-            pre = 1.0 / (grid.N + (grid.N * ihk) * lam)
+        for ihk in self.ihk:
+            pre = _inverse_symbol(grid.N, ihk, shifted)
             self.pre.append(pre)
             if mp.linear:
                 self.gain.append(np.zeros_like(pre))
@@ -221,8 +238,8 @@ class _StagePredictor:
     def _build_weights(self) -> np.ndarray:
         N = self.ctx.grid.N
         R = np.ones(N, dtype=complex)
-        for pre in self.ctx.pre:    # Cayley factor 2 N pre_j - 1 of each stage
-            R *= 2.0 * N * pre - 1.0
+        for ihk in self.ctx.ihk:    # unshifted Cayley factor of each stage
+            R *= 2.0 * N * _inverse_symbol(N, ihk, self.ctx.lam) - 1.0
         weights = np.empty((4, N), dtype=complex)
         power = R
         for i, c in enumerate(self.COEFFS):
@@ -268,7 +285,7 @@ def _stage_solve(ctx: _StepContext, stage_index: int, y_hat: np.ndarray,
     sp = ctx.sp
     N = ctx.grid.N
     gain = ctx.gain[stage_index - 1]
-    x, work, mod, base = ctx.x, ctx.work, ctx.mod, ctx.base
+    x, work, mod, base, shift = ctx.x, ctx.work, ctx.mod, ctx.base, ctx.shift
     z, z_next = ctx.z
     np.multiply(ctx.pre[stage_index - 1], y_hat, out=base)
     np.divide(x0_hat, N, out=z)
@@ -277,6 +294,7 @@ def _stage_solve(ctx: _StepContext, stage_index: int, y_hat: np.ndarray,
     for it in range(1, sp.fp_max_iters + 1):
         np.abs(x, out=mod)
         np.multiply(mod, mod, out=mod)
+        np.subtract(mod, shift, out=mod)
         np.multiply(mod, x, out=work)
         np.fft.fft(work, out=z_next)
         np.multiply(z_next, gain, out=z_next)
@@ -303,8 +321,8 @@ def imr_stage_solve(Y_prev: Field, b_j: float, sp: SolverParams,
     """Single implicit midpoint substep of length k b_j."""
     if b_j == 0.0:
         raise ParameterError("stage coefficient b_j must be nonzero")
-    ctx = _StepContext(Y_prev.grid, (float(b_j),), sp, mp)
     y_hat = np.fft.fft(Y_prev.values)
+    ctx = _StepContext(Y_prev.grid, (float(b_j),), sp, mp, y_hat)
     y_next_hat = np.empty_like(y_hat)
     with np.errstate(**_QUIET_OVERFLOW):
         iters = _stage_solve(ctx, 1, y_hat, y_hat, y_next_hat)
@@ -314,8 +332,8 @@ def imr_stage_solve(Y_prev: Field, b_j: float, sp: SolverParams,
 def step(U_n: Field, scheme: CompositionScheme, sp: SolverParams,
          mp: ModelParams) -> tuple[Field, StepReport]:
     """Advance one composition step of length k."""
-    ctx = _StepContext(U_n.grid, scheme.b, sp, mp)
     y_hat = np.fft.fft(U_n.values)
+    ctx = _StepContext(U_n.grid, scheme.b, sp, mp, y_hat)
     report = StepReport(fp_iterations_per_stage=[], stability_margin=math.nan)
     if sp.stability_check:
         margin = ctx.stability_margin(y_hat)
@@ -364,10 +382,10 @@ def evolve(U0: Field, T: float, scheme: CompositionScheme, sp: SolverParams,
         raise ParameterError(f"final time T must be positive, got {T!r}")
     M = exact_step_count(T, sp.k)
     grid = U0.grid
-    ctx = _StepContext(grid, scheme.b, sp, mp)
     strides = [max(1, int(getattr(obs, "stride", 1))) for obs in observers]
 
     u_hat = np.fft.fft(U0.values)
+    ctx = _StepContext(grid, scheme.b, sp, mp, u_hat)
     for obs in observers:
         obs(0, 0.0, U0)
 

@@ -164,18 +164,24 @@ def test_stage_residual_resubstitution_dealiased(small_grid):
     assert l2_norm(Field(resid, small_grid)) <= 10 * sp.fp_tol * l2_norm(x_star)
 
 
-def reference_step(u, scheme, sp, mp):
-    """Plain per-stage fixed-point loop: fresh arrays, np.linalg.norm test."""
+def reference_step(u, scheme, sp, mp, shift=True):
+    """Plain per-stage fixed-point loop: fresh arrays, np.linalg.norm test.
+
+    With ``shift`` the preconditioner is I + i(k b/2)(lam - c P) and the
+    cubic term (|X|^2 - c) X, with c = 2 mean|u|^2 of the step's start
+    state; the fixed point is the same either way.  Returns the stage
+    values Y_1..Y_q and the iteration count of each stage.
+    """
     lam = u.grid.fractional_symbol(mp.s)
-    y, y_hat, iters = u.values, np.fft.fft(u.values), []
+    mask = u.grid.dealias_mask if mp.dealias else 1.0
+    c = 2.0 * np.mean(np.abs(u.values) ** 2) if shift else 0.0
+    y, y_hat, stages, iters = u.values, np.fft.fft(u.values), [], []
     for b in scheme.b:
         hk = 0.5 * sp.k * b
         x = y
         for it in range(1, sp.fp_max_iters + 1):
-            g_hat = np.fft.fft(np.abs(x) ** 2 * x)
-            if mp.dealias:
-                g_hat = g_hat * u.grid.dealias_mask
-            x_hat = (y_hat + 1j * hk * g_hat) / (1.0 + 1j * hk * lam)
+            g_hat = np.fft.fft((np.abs(x) ** 2 - c) * x) * mask
+            x_hat = (y_hat + 1j * hk * g_hat) / (1.0 + 1j * hk * (lam - c * mask))
             x_new = np.fft.ifft(x_hat)
             done = np.linalg.norm(x_new - x) <= sp.fp_tol * np.linalg.norm(x_new)
             x = x_new
@@ -183,7 +189,8 @@ def reference_step(u, scheme, sp, mp):
                 break
         iters.append(it)
         y, y_hat = 2.0 * x - y, 2.0 * x_hat - y_hat
-    return y, iters
+        stages.append(y)
+    return stages, iters
 
 
 @pytest.mark.parametrize("dealias", [False, True])
@@ -197,9 +204,24 @@ def test_step_matches_reference_loop(N, p, s, dealias):
     scheme = yoshida_coefficients(p)
     u = smooth_random_field(grid, seed=37, amplitude=1.5)
     out, report = step(u, scheme, sp, mp)
-    ref, ref_iters = reference_step(u, scheme, sp, mp)
+    stages, ref_iters = reference_step(u, scheme, sp, mp)
     assert report.fp_iterations_per_stage == ref_iters
-    assert l2_norm(Field(out.values - ref, grid)) <= 10 * sp.fp_tol * l2_norm(u)
+    assert l2_norm(Field(out.values - stages[-1], grid)) <= 10 * sp.fp_tol * l2_norm(u)
+
+
+@pytest.mark.parametrize("dealias", [False, True])
+@pytest.mark.parametrize("s", [0.6, 1.0])
+def test_mean_field_shift_keeps_stage_values(small_grid, s, dealias):
+    # the shift changes the path to each stage's fixed point, not the point
+    mp = ModelParams(s=s, dealias=dealias)
+    sp = SolverParams(k=2e-2, fp_tol=1e-13)
+    scheme = yoshida_coefficients(2)
+    u = smooth_random_field(small_grid, seed=37, amplitude=1.5)
+    shifted, shifted_iters = reference_step(u, scheme, sp, mp)
+    plain, plain_iters = reference_step(u, scheme, sp, mp, shift=False)
+    for a, b in zip(shifted, plain):
+        assert l2_norm(Field(a - b, small_grid)) <= 10 * sp.fp_tol * l2_norm(u)
+    assert sum(shifted_iters) < sum(plain_iters)
 
 
 def test_evolve_snapshots_do_not_alias(small_grid):
