@@ -272,10 +272,12 @@ def convergence_study(config: RunConfig, dt_list: list[float],
 # --- error growth in time ----------------------------------------------------
 
 class _SolitonErrorRecorder:
-    stride = 1
+    """Observer of errors at the wanted steps.  Its stride is their gcd, so
+    evolve forms nodal values only on steps that can be wanted."""
 
     def __init__(self, wanted_steps: set[int], soliton: SolitonParams):
         self.wanted = wanted_steps
+        self.stride = max(1, math.gcd(*wanted_steps))
         self.soliton = soliton
         self.points: list[ErrorPoint] = []
 
@@ -301,13 +303,13 @@ def error_growth_study(config: RunConfig, checkpoint_times: list[float],
     M = exact_step_count(config.T, config.dt)
     wanted: set[int] = set()
     for t in checkpoint_times:
-        ratio = t / config.dt
-        n = round(ratio)
-        if abs(ratio - n) > 0.5 * math.ulp(abs(ratio)) or not 0 <= n <= M:
-            raise ParameterError(
-                f"checkpoint_times: t = {t!r} is not a step multiple of "
-                f"dt = {config.dt!r} within [0, T]"
-            )
+        try:
+            n = 0 if t == 0.0 else exact_step_count(t, config.dt)
+        except ParameterError as err:
+            raise ParameterError(f"checkpoint_times: t = {t!r} is not a step "
+                                 f"multiple of dt = {config.dt!r} ({err})") from None
+        if n > M:
+            raise ParameterError(f"checkpoint_times: t = {t!r} is beyond T = {config.T!r}")
         wanted.add(n)
     grid, u0 = build_initial_field(config)
     recorder = _SolitonErrorRecorder(wanted, soliton)

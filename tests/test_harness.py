@@ -146,8 +146,29 @@ def test_error_growth_study_validation():
     config = desk_config(dt=2.5e-2, T=20.0)
     with pytest.raises(ParameterError, match="checkpoint"):
         error_growth_study(config, [1.23])
+    for t in (-2.5, 22.5, math.nan):
+        with pytest.raises(ParameterError, match="checkpoint"):
+            error_growth_study(config, [5.0, t])
     with pytest.raises(ParameterError):
         error_growth_study(config, [])
+
+
+def test_error_growth_study_observes_only_checkpoint_steps(monkeypatch):
+    # checkpoints at steps 20, 40, 60 (dt = 2.5e-2): the recorder's stride
+    # is their gcd, so evolve observes steps 0, 20, 40, 60 and no others
+    from fnls import harness
+    seen = []
+    record = harness._SolitonErrorRecorder.__call__
+
+    def counted(self, n, t, field):
+        seen.append(n)
+        record(self, n, t, field)
+
+    monkeypatch.setattr(harness._SolitonErrorRecorder, "__call__", counted)
+    config = desk_config(dt=2.5e-2, T=1.5)
+    result = error_growth_study(config, [1.0, 0.5, 1.5])
+    assert seen == [0, 20, 40, 60]
+    assert [p.t for p in result.series] == [0.5, 1.0, 1.5]
 
 
 def test_invariant_drift_study_small_run():
