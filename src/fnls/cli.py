@@ -76,7 +76,8 @@ def cmd_simulate(config: RunConfig) -> int:
     write_tracking_csv(out / "tracking.csv", track)
 
     print(f"steps:               {stats.steps}")
-    print(f"mean fp iterations:  {stats.mean_fp_iterations:.2f}")
+    print(f"fp iterations:       {stats.fp_iterations} "
+          f"({stats.mean_fp_iterations:.2f} per stage)")
     print(f"stability margin:    {stats.max_stability_margin:.3g} max "
           f"({stats.initial_stability_margin:.3g} initial)")
     print(f"wall time:           {wall:.2f} s")

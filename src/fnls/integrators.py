@@ -164,9 +164,11 @@ class StepReport:
 
 @dataclass
 class RunStats:
-    """Aggregated diagnostics of an evolve run."""
+    """Aggregated diagnostics of an evolve run: fp_iterations is the exact
+    total over all stages, mean_fp_iterations its mean per stage."""
 
     steps: int
+    fp_iterations: int
     mean_fp_iterations: float
     max_stability_margin: float
     initial_stability_margin: float
@@ -429,7 +431,8 @@ def evolve(U0: Field, T: float, scheme: CompositionScheme, sp: SolverParams,
         )
     stats = RunStats(
         steps=M,
-        mean_fp_iterations=total_iters / (M * len(scheme.b)),
+        fp_iterations=total_iters,
+        mean_fp_iterations=total_iters / (M * scheme.q),
         max_stability_margin=max_margin,
         initial_stability_margin=initial_margin,
         warnings=warnings,

@@ -58,6 +58,14 @@ def test_simulate_writes_outputs(tmp_path, capsys):
 
     stdout = capsys.readouterr().out
     assert "steps" in stdout and "40" in stdout
+    # the exact iteration total of the same run, made in process
+    cfg = fnls.load_config(config)
+    _, u0 = fnls.build_initial_field(cfg)
+    _, stats = fnls.evolve(u0, cfg.T, fnls.yoshida_coefficients(cfg.scheme_p),
+                           fnls.SolverParams(k=cfg.dt, fp_tol=cfg.fp_tol,
+                                             fp_max_iters=cfg.fp_max_iters),
+                           fnls.ModelParams(s=cfg.s, dealias=cfg.dealias))
+    assert f"fp iterations:       {stats.fp_iterations} (" in stdout
 
 
 def test_simulate_invariant_stride(tmp_path):

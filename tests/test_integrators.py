@@ -416,6 +416,23 @@ def test_evolve_step_accounting(small_grid):
     assert stats.initial_stability_margin >= 0
 
 
+def test_evolve_counts_iterations_exactly(small_grid):
+    # without the predictor's help (four steps) every stage starts like
+    # step's, so evolve's total is the sum of step's per-stage counts
+    mp = ModelParams(s=0.8)
+    sp = SolverParams(k=2e-2)
+    scheme = yoshida_coefficients(2)
+    u = smooth_random_field(small_grid, seed=71)
+    _, stats = evolve(u, 4 * sp.k, scheme, sp, mp)
+    looped, counts = u, []
+    for _ in range(4):
+        looped, report = step(looped, scheme, sp, mp)
+        counts += report.fp_iterations_per_stage
+    assert isinstance(stats.fp_iterations, int)
+    assert stats.fp_iterations == sum(counts)
+    assert stats.mean_fp_iterations == stats.fp_iterations / (4 * scheme.q)
+
+
 def test_evolve_rejects_bad_horizon(small_grid):
     mp = ModelParams(s=1.0)
     u = smooth_random_field(small_grid, seed=73)
