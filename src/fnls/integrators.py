@@ -57,10 +57,11 @@ of the last four steps and, from step 5 on, starts from
 a cubic extrapolation of the increment in the frame of the linear
 propagator R of one full step.  R uses the unshifted symbol lam, not the
 shifted preconditioner, and is built at the first predicted stage.  The
-predictor is exact for the linear flow; without the R^i factors the stiff modes, which rotate by more than
-pi/3 per step, are amplified by the extrapolation and the stage solve can
-diverge.  Only the starting iterate changes: the fixed-point map and its
-stopping test are the same, so the converged stages are too.
+predictor is exact for the linear flow; without the R^i factors the stiff
+modes, which rotate by more than pi/3 per step, are amplified by the
+extrapolation and the stage solve can diverge.  Only the starting
+iterate changes: the fixed-point map and its stopping test are the same,
+so the converged stages are too.
 """
 
 from __future__ import annotations
@@ -348,7 +349,8 @@ def step(U_n: Field, scheme: CompositionScheme, sp: SolverParams,
     spare = np.empty_like(y_hat)
     with np.errstate(**_QUIET_OVERFLOW):
         for j in range(1, scheme.q + 1):
-            report.fp_iterations_per_stage.append(_stage_solve(ctx, j, y_hat, y_hat, spare))
+            iters = _stage_solve(ctx, j, y_hat, y_hat, spare)
+            report.fp_iterations_per_stage.append(iters)
             y_hat, spare = spare, y_hat
     return Field(np.fft.ifft(y_hat), U_n.grid), report
 
