@@ -286,6 +286,23 @@ def test_evolve_predictor_exact_for_linear_flow(small_grid):
     assert round(stats.mean_fp_iterations * M * q) == 2 * 4 * q + 1 * (M - 4) * q
 
 
+def test_predictor_rotates_by_unshifted_propagator(small_grid):
+    # the mean-field shift changes the preconditioner only; the predictor
+    # rotates increments by the linear flow's Cayley propagator
+    from fnls.integrators import _StagePredictor, _StepContext
+    sp = SolverParams(k=2e-2)
+    scheme = yoshida_coefficients(2)
+    u = smooth_random_field(small_grid, seed=37, amplitude=1.5)
+    ctx = _StepContext(small_grid, scheme.b, sp, ModelParams(s=0.75, dealias=True),
+                       np.fft.fft(u.values))
+    assert ctx.shift == pytest.approx(2 * np.mean(np.abs(u.values) ** 2), rel=1e-14)
+    lam = small_grid.fractional_symbol(0.75)
+    R = np.prod([(1 - 0.5j * sp.k * b * lam) / (1 + 0.5j * sp.k * b * lam)
+                 for b in scheme.b], axis=0)
+    weights = _StagePredictor(ctx)._build_weights()
+    np.testing.assert_allclose(weights[0], 2.0 * R, rtol=1e-13)   # c_1 R / 2, c_1 = 4
+
+
 @pytest.mark.parametrize("stride", [None, 1, 3])
 def test_evolve_carries_coefficients(small_grid, monkeypatch, stride):
     # a stage of n iterations costs 2n transforms; evolve adds one forward
