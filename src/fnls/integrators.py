@@ -191,22 +191,25 @@ class _StepContext:
                  sp: SolverParams, mp: ModelParams, u_hat: np.ndarray):
         self.grid = grid
         self.sp = sp
+        self.b = b
         self.lam = lam = grid.fractional_symbol(mp.s)
-        self.ihk = [0.5j * sp.k * bj for bj in b]
         # mean-field shift c = 2 mean|u|^2, by Parseval
         self.shift = 0.0 if mp.linear else 2.0 * np.vdot(u_hat, u_hat).real / grid.N ** 2
         shifted = lam - self.shift * (grid.dealias_mask if mp.dealias else 1.0)
-        self.pre = []
-        self.gain = []
-        for ihk in self.ihk:
-            pre = _inverse_symbol(grid.N, ihk, shifted)
-            self.pre.append(pre)
-            if mp.linear:
-                self.gain.append(np.zeros_like(pre))
-            elif mp.dealias:
-                self.gain.append(ihk * pre * grid.dealias_mask)
-            else:
-                self.gain.append(ihk * pre)
+        tables = {}     # symmetric compositions repeat b_j; equal stages share
+        for bj in b:
+            if bj not in tables:
+                ihk = 0.5j * sp.k * bj
+                pre = _inverse_symbol(grid.N, ihk, shifted)
+                if mp.linear:
+                    gain = np.zeros_like(pre)
+                elif mp.dealias:
+                    gain = ihk * pre * grid.dealias_mask
+                else:
+                    gain = ihk * pre
+                tables[bj] = pre, gain
+        self.pre = [tables[bj][0] for bj in b]
+        self.gain = [tables[bj][1] for bj in b]
         self.max_abs_b = max(abs(bj) for bj in b)
         N = grid.N
         self.x = np.empty(N, dtype=complex)         # nodal iterate X_n
@@ -241,7 +244,8 @@ class _StagePredictor:
     def _build_weights(self) -> np.ndarray:
         N = self.ctx.grid.N
         R = np.ones(N, dtype=complex)
-        for ihk in self.ctx.ihk:    # unshifted Cayley factor of each stage
+        for bj in self.ctx.b:       # unshifted Cayley factor of each stage
+            ihk = 0.5j * self.ctx.sp.k * bj
             R *= 2.0 * N * _inverse_symbol(N, ihk, self.ctx.lam) - 1.0
         weights = np.empty((4, N), dtype=complex)
         power = R
