@@ -177,8 +177,10 @@ class RunStats:
 
 
 def _inverse_symbol(N: int, ihk: complex, sym: np.ndarray) -> np.ndarray:
-    """(1 + ihk sym)^-1 / N mode by mode."""
-    return 1.0 / (N + (N * ihk) * sym)
+    """(1 + ihk sym)^-1 / N mode by mode, in one fresh array."""
+    inv = (N * ihk) * sym
+    inv += N
+    return np.reciprocal(inv, out=inv)
 
 
 class _StepContext:
