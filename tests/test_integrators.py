@@ -434,8 +434,9 @@ def test_evolve_step_accounting(small_grid):
 
 
 def test_evolve_counts_iterations_exactly(small_grid):
-    # without the predictor's help (four steps) every stage starts like
-    # step's, so evolve's total is the sum of step's per-stage counts
+    # before the predictor starts (four steps) every stage starts like
+    # step's, and mass conservation keeps the mean-field shift equal to
+    # roundoff, so evolve's total is the sum of step's per-stage counts
     mp = ModelParams(s=0.8)
     sp = SolverParams(k=2e-2)
     scheme = yoshida_coefficients(2)
