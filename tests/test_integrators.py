@@ -451,6 +451,21 @@ def test_evolve_counts_iterations_exactly(small_grid):
     assert stats.mean_fp_iterations == stats.fp_iterations / (4 * scheme.q)
 
 
+def test_evolve_observers_keep_caller_error_handling(small_grid):
+    # the stage loop silences overflow; observers still see the caller's
+    # numpy error settings
+    seen = []
+
+    def observer(n, t, field):
+        seen.append((np.geterr()["over"], np.geterr()["invalid"]))
+
+    u = smooth_random_field(small_grid, seed=71)
+    with np.errstate(over="raise", invalid="warn"):
+        evolve(u, 0.1, yoshida_coefficients(2), SolverParams(k=2e-2), ModelParams(s=0.8),
+               observers=(observer,))
+    assert seen == [("raise", "warn")] * 6
+
+
 def test_evolve_rejects_bad_horizon(small_grid):
     mp = ModelParams(s=1.0)
     u = smooth_random_field(small_grid, seed=73)
