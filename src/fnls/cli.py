@@ -25,7 +25,7 @@ from .harness import (
     build_initial_field,
     convergence_study,
 )
-from .integrators import SolverParams, evolve, yoshida_coefficients
+from .integrators import evolve
 from .io import (
     PetviashviliInitial,
     RunConfig,
@@ -36,7 +36,6 @@ from .io import (
     write_snapshot,
     write_tracking_csv,
 )
-from .model import ModelParams
 from .spectral import SpectralGrid
 from .waves import petviashvili_profile
 
@@ -54,10 +53,7 @@ def _output_dir(config: RunConfig) -> Path:
 def cmd_simulate(config: RunConfig) -> int:
     out = _output_dir(config)
     grid, u0 = build_initial_field(config)
-    scheme = yoshida_coefficients(config.scheme_p)
-    sp = SolverParams(k=config.dt, fp_tol=config.fp_tol,
-                      fp_max_iters=config.fp_max_iters)
-    mp = ModelParams(s=config.s, dealias=config.dealias)
+    scheme, sp, mp = config.problem()
     invariant_rec = InvariantRecorder(mp, stride=config.invariant_stride)
     tracker = WaveTracker(stride=config.snapshot_stride)
     snapshot_writer = SnapshotWriter(out, s=config.s, stride=config.snapshot_stride)

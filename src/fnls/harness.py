@@ -14,14 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceStudyError, ParameterError, TrackingError
-from .integrators import SolverParams, evolve, exact_step_count, yoshida_coefficients
-from .io import (
-    PetviashviliInitial,
-    ProfileFileInitial,
-    RunConfig,
-    SolitonInitial,
-    read_snapshot,
-)
+from .integrators import evolve, exact_step_count
+from .io import PetviashviliInitial, ProfileFileInitial, RunConfig, read_snapshot
 from .model import InvariantRecord, ModelParams, invariants
 from .spectral import Field, SpectralGrid
 from .waves import SolitonParams, nls_soliton, petviashvili_profile
@@ -129,9 +123,8 @@ def build_initial_field(config: RunConfig) -> tuple[SpectralGrid, Field]:
     """Construct the grid and initial data described by config.initial."""
     grid = SpectralGrid(config.N, config.L)
     init = config.initial
-    if isinstance(init, SolitonInitial):
-        sp = SolitonParams(init.lambda1, init.lambda2, init.x0, init.theta0)
-        return grid, nls_soliton(grid, 0.0, sp)
+    if isinstance(init, SolitonParams):
+        return grid, nls_soliton(grid, 0.0, init)
     if isinstance(init, ProfileFileInitial):
         snap = read_snapshot(init.path)
         if snap.field.grid.N != grid.N or snap.field.grid.L != grid.L:
@@ -153,46 +146,22 @@ def build_initial_field(config: RunConfig) -> tuple[SpectralGrid, Field]:
     raise ParameterError(f"initial: unsupported kind {type(init).__name__}")
 
 
-def _solver_params(config: RunConfig, dt: float) -> SolverParams:
-    return SolverParams(k=dt, fp_tol=config.fp_tol,
-                        fp_max_iters=config.fp_max_iters)
-
-
 def _require_soliton_initial(config: RunConfig) -> SolitonParams:
-    if not isinstance(config.initial, SolitonInitial):
+    if not isinstance(config.initial, SolitonParams):
         raise ParameterError(
             "initial: this study measures errors against the closed-form "
             "soliton and requires initial.kind == 'soliton'"
         )
-    i = config.initial
-    return SolitonParams(i.lambda1, i.lambda2, i.x0, i.theta0)
+    return config.initial
 
 
 # --- temporal convergence table ---------------------------------------------
 
-@dataclass(frozen=True)
-class _RowJob:
-    N: int
-    L: float
-    s: float
-    dealias: bool
-    scheme_p: int
-    fp_tol: float
-    fp_max_iters: int
-    dt: float
-    T: float
-    initial_values: np.ndarray
-    reference_values: np.ndarray
-
-
-def _run_row(job: _RowJob) -> tuple[float, float]:
-    grid = SpectralGrid(job.N, job.L)
-    u0 = Field(job.initial_values, grid)
-    scheme = yoshida_coefficients(job.scheme_p)
-    sp = SolverParams(k=job.dt, fp_tol=job.fp_tol, fp_max_iters=job.fp_max_iters)
-    mp = ModelParams(s=job.s, dealias=job.dealias)
-    final, _ = evolve(u0, job.T, scheme, sp, mp)
-    return component_errors(final, Field(job.reference_values, grid))
+def _run_row(config: RunConfig, dt: float, initial_values: np.ndarray,
+             reference_values: np.ndarray) -> tuple[float, float]:
+    grid = SpectralGrid(config.N, config.L)
+    final, _ = evolve(Field(initial_values, grid), config.T, *config.problem(dt))
+    return component_errors(final, Field(reference_values, grid))
 
 
 def _attach_rates(dts: list[float], errors: list[tuple[float, float]]) -> list[ConvergenceRow]:
@@ -232,40 +201,34 @@ def convergence_study(config: RunConfig, dt_list: list[float],
     soliton = _require_soliton_initial(config)
     grid, u0 = build_initial_field(config)
     reference = nls_soliton(grid, config.T, soliton)
-    jobs = [
-        _RowJob(N=config.N, L=config.L, s=config.s, dealias=config.dealias,
-                scheme_p=config.scheme_p, fp_tol=config.fp_tol,
-                fp_max_iters=config.fp_max_iters, dt=dt, T=config.T,
-                initial_values=u0.values, reference_values=reference.values)
-        for dt in dt_list
-    ]
     n_workers = len(dt_list) if workers is None else workers
     n_workers = max(1, min(n_workers, len(dt_list)))
 
     errors: list[tuple[float, float]] = []
     if n_workers == 1:
-        for job in jobs:
+        for dt in dt_list:
             try:
-                errors.append(_run_row(job))
+                errors.append(_run_row(config, dt, u0.values, reference.values))
             except Exception as err:
-                raise ConvergenceStudyError(job.dt, _attach_rates(dt_list, errors), err)
+                raise ConvergenceStudyError(dt, _attach_rates(dt_list, errors), err)
     else:
         from concurrent.futures import ProcessPoolExecutor
         # kept local: importing concurrent.futures.process costs every
         # `fnls simulate` start about 20 ms
-        longest_first = sorted(range(len(jobs)),
+        longest_first = sorted(range(len(dt_list)),
                                key=lambda i: -exact_step_count(config.T, dt_list[i]))
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = [None] * len(jobs)
+            futures = [None] * len(dt_list)
             for i in longest_first:
-                futures[i] = pool.submit(_run_row, jobs[i])
-            for job, future in zip(jobs, futures):
+                futures[i] = pool.submit(_run_row, config, dt_list[i],
+                                         u0.values, reference.values)
+            for dt, future in zip(dt_list, futures):
                 try:
                     errors.append(future.result())
                 except Exception as err:
                     for f in futures:
                         f.cancel()
-                    raise ConvergenceStudyError(job.dt, _attach_rates(dt_list, errors), err)
+                    raise ConvergenceStudyError(dt, _attach_rates(dt_list, errors), err)
     return _attach_rates(dt_list, errors)
 
 
@@ -313,10 +276,7 @@ def error_growth_study(config: RunConfig, checkpoint_times: list[float],
         wanted.add(n)
     grid, u0 = build_initial_field(config)
     recorder = _SolitonErrorRecorder(wanted, soliton)
-    evolve(u0, config.T, yoshida_coefficients(config.scheme_p),
-           _solver_params(config, config.dt),
-           ModelParams(s=config.s, dealias=config.dealias),
-           observers=(recorder,))
+    evolve(u0, config.T, *config.problem(), observers=(recorder,))
     series = recorder.points
     if fit_window is None:
         t_first, t_last = series[0].t, series[-1].t
@@ -341,10 +301,9 @@ def error_growth_study(config: RunConfig, checkpoint_times: list[float],
 def invariant_drift_study(config: RunConfig) -> InvariantDriftResult:
     """Run the configured evolution and summarize invariant drift."""
     grid, u0 = build_initial_field(config)
-    mp = ModelParams(s=config.s, dealias=config.dealias)
+    scheme, sp, mp = config.problem()
     recorder = InvariantRecorder(mp, stride=config.invariant_stride)
-    evolve(u0, config.T, yoshida_coefficients(config.scheme_p),
-           _solver_params(config, config.dt), mp, observers=(recorder,))
+    evolve(u0, config.T, scheme, sp, mp, observers=(recorder,))
     records = recorder.records
 
     def drift(values: list[float]) -> float:

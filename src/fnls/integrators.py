@@ -31,9 +31,9 @@ so Z is the coefficient vector of X scaled by 1/N and the inverse
 transform applies no normalization (numpy's norm="forward").  base is
 formed once per stage, and each iteration is one shifted cubic term, one
 FFT pair and one multiply-add.  One kernel, _stage_solve, solves every stage
-for step, imr_stage_solve and evolve; it writes into work buffers that
-its _StepContext allocates once, and fft(Y_next) into an array the
-caller provides, so a run allocates nothing per stage or step.
+for step and evolve (imr_stage_solve is a one-stage step); it writes into
+work buffers that its _StepContext allocates once, and fft(Y_next) into an
+array the caller provides, so a run allocates nothing per stage or step.
 
 The state is carried between stages and steps as Fourier coefficients
 only.  The stopping test ||X_{n+1} - X_n|| <= fp_tol ||X_{n+1}|| is applied
@@ -44,12 +44,12 @@ inverse transform of its starting iterate, then n forward and n - 1
 inverse ones.  Physical values are formed only where something reads
 them: for observers, and for the returned Field.
 
-step and imr_stage_solve start every stage from X_0 = Y_prev.  evolve
-starts stage j of step n from an extrapolated midpoint instead, the
-standard starting approximation for implicit symplectic Runge-Kutta
-methods (Hairer, Lubich & Wanner, Geometric Numerical Integration,
-VIII.6).  It keeps the Fourier increments d_{j,m} = fft(Y_j - Y_{j-1})
-of the last four steps and, from step 5 on, starts from
+step starts every stage from X_0 = Y_prev.  evolve starts stage j of
+step n from an extrapolated midpoint instead, the standard starting
+approximation for implicit symplectic Runge-Kutta methods (Hairer,
+Lubich & Wanner, Geometric Numerical Integration, VIII.6).  It keeps the
+Fourier increments d_{j,m} = fft(Y_j - Y_{j-1}) of the last four steps
+and, from step 5 on, starts from
 
     X_0 = ifft( fft(Y_prev) + 1/2 sum_{i=1..4} c_i R^i d_{j,n-i} ),
     c = (4, -6, 4, -1),  R = prod_j (1 - i (k b_j/2) lam) / (1 + i (k b_j/2) lam),
@@ -325,19 +325,6 @@ def _stage_solve(ctx: _StepContext, stage_index: int, y_hat: np.ndarray,
     raise StageDivergenceError(stage_index, sp.fp_max_iters, residual)
 
 
-def imr_stage_solve(Y_prev: Field, b_j: float, sp: SolverParams,
-                    mp: ModelParams) -> tuple[Field, int]:
-    """Single implicit midpoint substep of length k b_j."""
-    if b_j == 0.0:
-        raise ParameterError("stage coefficient b_j must be nonzero")
-    y_hat = np.fft.fft(Y_prev.values)
-    ctx = _StepContext(Y_prev.grid, (float(b_j),), sp, mp, y_hat)
-    y_next_hat = np.empty_like(y_hat)
-    with np.errstate(**_QUIET_OVERFLOW):
-        iters = _stage_solve(ctx, 1, y_hat, y_hat, y_next_hat)
-    return Field(np.fft.ifft(y_next_hat), Y_prev.grid), iters
-
-
 def step(U_n: Field, scheme: CompositionScheme, sp: SolverParams,
          mp: ModelParams) -> tuple[Field, StepReport]:
     """Advance one composition step of length k."""
@@ -361,13 +348,20 @@ def step(U_n: Field, scheme: CompositionScheme, sp: SolverParams,
     return Field(np.fft.ifft(y_hat), U_n.grid), report
 
 
+def imr_stage_solve(Y_prev: Field, b_j: float, sp: SolverParams,
+                    mp: ModelParams) -> tuple[Field, int]:
+    """Single implicit midpoint substep of length k b_j: a one-stage step."""
+    out, report = step(Y_prev, CompositionScheme(1, 1, (float(b_j),), 2), sp, mp)
+    return out, report.fp_iterations_per_stage[0]
+
+
 def exact_step_count(T: float, k: float) -> int:
     """Step count M = T/k, required to be a positive integer to 0.5 ulp.
 
     Mismatches are rejected rather than silently rounding k: convergence
     studies rely on exact step counts.
     """
-    ratio = T / k
+    ratio = T / k if k else math.inf
     if not math.isfinite(ratio):
         raise ParameterError(f"T/k = {T!r}/{k!r} is not a finite step count")
     M = round(ratio)

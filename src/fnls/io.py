@@ -22,8 +22,11 @@ from typing import Any, Iterable, Union
 import numpy as np
 
 from .errors import ParameterError
-from .integrators import MAX_COMPOSITION_LEVEL, exact_step_count
+from .integrators import (MAX_COMPOSITION_LEVEL, CompositionScheme, SolverParams,
+                          exact_step_count, yoshida_coefficients)
+from .model import ModelParams
 from .spectral import Field, SpectralGrid
+from .waves import SolitonParams as SolitonInitial
 
 __all__ = [
     "SolitonInitial",
@@ -45,14 +48,6 @@ __all__ = [
 
 SNAPSHOT_MAGIC = b"FNLS1"
 _SNAPSHOT_HEADER = struct.Struct("<Iddd")
-
-
-@dataclass(frozen=True)
-class SolitonInitial:
-    lambda1: float
-    lambda2: float = 0.0
-    x0: float = 0.0
-    theta0: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -124,15 +119,17 @@ class RunConfig:
                 f"snapshot_stride: must be >= 1, got {self.snapshot_stride!r}"
             )
         init = self.initial
-        if isinstance(init, SolitonInitial):
-            if not init.lambda1 - 0.25 * init.lambda2**2 > 0:
-                raise ParameterError(
-                    "initial: soliton requires lambda1 - lambda2^2/4 > 0, got "
-                    f"lambda1 = {init.lambda1!r}, lambda2 = {init.lambda2!r}"
-                )
-        elif isinstance(init, PetviashviliInitial):
-            if not init.tol > 0:
-                raise ParameterError(f"initial.tol: must be positive, got {init.tol!r}")
+        if isinstance(init, PetviashviliInitial) and not init.tol > 0:
+            raise ParameterError(f"initial.tol: must be positive, got {init.tol!r}")
+
+    def problem(self, dt: float | None = None) -> tuple[CompositionScheme,
+                                                        SolverParams, ModelParams]:
+        """The scheme, solver and model of this run, with time step dt
+        (default: the config's dt)."""
+        return (yoshida_coefficients(self.scheme_p),
+                SolverParams(k=self.dt if dt is None else dt, fp_tol=self.fp_tol,
+                             fp_max_iters=self.fp_max_iters),
+                ModelParams(s=self.s, dealias=self.dealias))
 
     def with_output_dir(self, output_dir: Path) -> "RunConfig":
         return replace(self, output_dir=Path(output_dir))
@@ -177,7 +174,10 @@ def _parse_initial(data: Any) -> InitialSpec:
         lambda2 = _take(data, "lambda2", float, "initial.") if "lambda2" in data else 0.0
         x0 = _take(data, "x0", float, "initial.") if "x0" in data else 0.0
         theta0 = _take(data, "theta0", float, "initial.") if "theta0" in data else 0.0
-        spec: InitialSpec = SolitonInitial(lambda1, lambda2, x0, theta0)
+        try:
+            spec: InitialSpec = SolitonInitial(lambda1, lambda2, x0, theta0)
+        except ParameterError as err:
+            raise ParameterError(f"initial: {err}") from None
     elif kind == "profile_file":
         spec = ProfileFileInitial(Path(_take(data, "path", str, "initial.")))
     elif kind == "petviashvili":

@@ -97,6 +97,16 @@ def test_simulate_rejects_nondividing_dt(tmp_path, capsys):
     assert "dt" in capsys.readouterr().err
 
 
+def test_convergence_rejects_zero_dt(tmp_path, capsys):
+    config = write_config(tmp_path, SIM_CONFIG)
+    code = main(["convergence", "--config", str(config), "--output", str(tmp_path),
+                 "--dt", "0"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "dt" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("key, updates", [
     ("dt", {"T": 1e308, "dt": 1e-10}),    # T/dt overflows to inf
     ("scheme_p", {"scheme_p": 7}),         # above the composition-level bound

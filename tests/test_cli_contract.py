@@ -1,17 +1,21 @@
-"""Property test of the documented exit-code contract of `fnls simulate`:
-every configuration, valid or not, ends in 0 (success), 2 (rejected
-configuration) or 3 (numerical failure), never in a traceback."""
+"""Property tests of the documented exit-code contract of `fnls simulate`
+and `fnls convergence`: every input, valid or not, ends in 0 (success),
+2 (rejected configuration) or 3 (numerical failure), never in a
+traceback."""
 
 import contextlib
 import io
 import json
+import math
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fnls.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
@@ -94,3 +98,37 @@ def test_simulate_exit_code_contract(config):
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+
+
+# A small valid soliton run; the --dt lists below vary around its T.
+CONVERGENCE_CONFIG = {
+    "L": 8 * math.pi, "N": 32, "s": 1.0, "dt": 0.1, "T": 0.2, "scheme_p": 2,
+    "initial": {"kind": "soliton", "lambda1": 1.0, "lambda2": 0.25},
+}
+DIVIDING_DTS = (0.2, 0.1, 0.05, 0.025)
+BAD_DTS = (0.0, -0.0, -0.1, 0.3, 0.15, math.inf, -math.inf, math.nan)
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(dts=st.lists(st.sampled_from(DIVIDING_DTS + BAD_DTS), min_size=1, max_size=3))
+@example(dts=[0.0])
+def test_convergence_exit_code_contract(dts):
+    with mock.patch.dict(os.environ, {"FNLS_THREADS": "1"}), \
+            tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(CONVERGENCE_CONFIG))
+        argv = ["convergence", "--config", str(path), "--output", str(Path(tmp) / "out"),
+                "--dt", *map(repr, dts)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exit_:     # argparse takes "-inf" for an option
+                code = exit_.code
+    dividing = all(dt in DIVIDING_DTS for dt in dts)
+    assert code == (EXIT_OK if dividing else EXIT_CONFIG)
+    if not dividing:
+        assert "error:" in err.getvalue()
+        if -math.inf not in dts:
+            assert "dt" in err.getvalue()

@@ -98,6 +98,8 @@ def test_exact_step_count():
         exact_step_count(1.0, 0.3)
     with pytest.raises(ParameterError):
         exact_step_count(0.5, 0.7)
+    with pytest.raises(ParameterError, match="finite"):
+        exact_step_count(1.0, 0.0)
 
 
 def test_exact_step_count_rejects_overflow(small_grid):

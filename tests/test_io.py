@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from fnls import (
     ProfileFileInitial,
     RunConfig,
     SolitonInitial,
+    SolitonParams,
     SpectralGrid,
     evolve,
     load_config,
@@ -82,12 +84,25 @@ def test_load_config_initial_kinds(tmp_path):
     assert config.initial == ProfileFileInitial(path=Path("p.bin"))
 
 
+# Every message starts with the key it names: "<needle>:" for a bare key,
+# else the prefix given here.
+ERROR_PREFIXES = {
+    "mystery": r"config: unknown key\(s\) \['mystery'\]",
+    "hue": r"initial: unknown key\(s\) \['hue'\]",
+    "kind": r"initial\.kind:",
+    "lambda": r"initial: soliton requires a = lambda1 - lambda2\^2/4 > 0",
+}
+
+
 @pytest.mark.parametrize("mutate,needle", [
     (lambda d: d.pop("N"), "N"),
     (lambda d: d.pop("initial"), "initial"),
     (lambda d: d.update(N=513), "N"),
     (lambda d: d.update(N=True), "N"),
+    (lambda d: d.update(N=8.0), "N"),
     (lambda d: d.update(L="wide"), "L"),
+    pytest.param(lambda d: d.update(L=0), "L", id="L=0"),
+    (lambda d: d.update(T=0), "T"),
     (lambda d: d.update(dt=0.0), "dt"),
     (lambda d: d.update(dt=0.3), "dt"),
     (lambda d: d.update(s=1.5), "s"),
@@ -95,18 +110,41 @@ def test_load_config_initial_kinds(tmp_path):
     (lambda d: d.update(fp_tol=-1e-13), "fp_tol"),
     (lambda d: d.update(fp_max_iters=0), "fp_max_iters"),
     (lambda d: d.update(invariant_stride=0), "invariant_stride"),
+    (lambda d: d.update(snapshot_stride=0), "snapshot_stride"),
     (lambda d: d.update(dealias=1), "dealias"),
+    (lambda d: d.update(output_dir=3), "output_dir"),
     (lambda d: d.update(mystery=1), "mystery"),
     (lambda d: d.update(initial={"kind": "soliton", "lambda1": 1.0, "hue": 2}), "hue"),
     (lambda d: d.update(initial={"kind": "vortex"}), "kind"),
     (lambda d: d.update(initial={"kind": "soliton", "lambda1": 0.2, "lambda2": 1.0}),
      "lambda"),
+    (lambda d: d.update(initial={"kind": "petviashvili", "lambda1": 1.0, "tol": 0}),
+     "initial.tol"),
 ])
 def test_load_config_errors_name_the_field(tmp_path, mutate, needle):
     data = json.loads(json.dumps(GOOD_CONFIG))
     mutate(data)
-    with pytest.raises(ParameterError, match=needle):
+    prefix = ERROR_PREFIXES.get(needle, re.escape(needle) + ":")
+    with pytest.raises(ParameterError, match="^" + prefix):
         load_config(write_config(tmp_path, data))
+
+
+def test_soliton_initial_is_validated_at_construction():
+    assert SolitonInitial is SolitonParams
+    with pytest.raises(ParameterError, match="lambda1 - lambda2"):
+        SolitonInitial(0.2, 1.0)
+
+
+def test_run_config_problem():
+    config = RunConfig(L=np.pi, N=64, s=0.75, dt=1e-2, T=0.1, scheme_p=2,
+                       initial=SolitonInitial(lambda1=1.0), fp_tol=1e-11,
+                       fp_max_iters=50, dealias=True)
+    scheme, sp, mp = config.problem()
+    assert scheme == yoshida_coefficients(2)
+    assert sp == SolverParams(k=1e-2, fp_tol=1e-11, fp_max_iters=50)
+    assert mp == ModelParams(s=0.75, dealias=True)
+    assert config.problem(dt=5e-3)[1] == SolverParams(k=5e-3, fp_tol=1e-11,
+                                                      fp_max_iters=50)
 
 
 def test_load_config_malformed_json(tmp_path):
