@@ -149,8 +149,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _shield_dt_values(argv: list[str]) -> list[str]:
+    """Prefix a space to each --dt value that starts with '-'.
+
+    argparse reads such a token as an option unless it is a plain negative
+    decimal, so -inf or -1e-05 would end the --dt list with a usage error.
+    float() ignores the space, and the value then reaches the dt check,
+    which rejects it with a configuration error.
+    """
+    shielded, in_dt = [], False
+    for token in argv:
+        if in_dt and _is_number(token):
+            if token.startswith("-"):
+                token = " " + token
+        else:
+            in_dt = token == "--dt"
+        shielded.append(token)
+    return shielded
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_shield_dt_values(argv))
     try:
         config = load_config(args.config)
         if args.output is not None:

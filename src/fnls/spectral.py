@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.fft import _pocketfft_umath
 
 from .errors import ParameterError
 
@@ -36,6 +37,18 @@ __all__ = [
     "hs_norm",
     "linf_norm",
 ]
+
+
+# numpy's pocketfft gufuncs, called without the np.fft wrapper, whose
+# argument handling adds about 4 us per call: as much as the transform
+# itself at N = 128 (see the integrators module docstring).
+# fft(a, fct, out=out) writes fct * sum_j a_j e^{-2 pi i j m / N} along the
+# last axis of a, and ifft the same with e^{+2 pi i j m / N}; stacks of
+# shape (B, N) are transformed row by row.  out is required: the gufunc
+# cannot size it.  Bit for bit, np.fft.fft(a) is fft(a, 1.0), np.fft.ifft(a)
+# is ifft(a, 1 / N) and np.fft.ifft(a, norm="forward") is ifft(a, 1.0).
+fft = _pocketfft_umath.fft
+ifft = _pocketfft_umath.ifft
 
 
 @dataclass(frozen=True)
@@ -99,9 +112,19 @@ class SpectralGrid:
         mask.setflags(write=False)
         return mask
 
+    @cached_property
+    def _fractional_symbols(self) -> dict:
+        return {}
+
     def fractional_symbol(self, s: float) -> np.ndarray:
-        """Multiplier |pi k / L|^(2s) of the fractional Laplacian."""
-        return np.abs(self.kappa) ** (2.0 * s)
+        """Multiplier |pi k / L|^(2s) of the fractional Laplacian, computed
+        once per s on this grid and returned read-only."""
+        sym = self._fractional_symbols.get(s)
+        if sym is None:
+            sym = np.abs(self.kappa) ** (2.0 * s)
+            sym.setflags(write=False)
+            self._fractional_symbols[s] = sym
+        return sym
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from fnls import (
     step,
     yoshida_coefficients,
 )
+from fnls import integrators
 from fnls.integrators import MAX_COMPOSITION_LEVEL
 from conftest import smooth_random_field
 
@@ -319,8 +320,8 @@ def test_evolve_carries_coefficients(small_grid, monkeypatch, stride):
             return transform(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
-    monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
+    monkeypatch.setattr(integrators, "fft", counted(integrators.fft))
+    monkeypatch.setattr(integrators, "ifft", counted(integrators.ifft))
     observers, observed = (), 0
     M, q = 12, 3
     if stride is not None:

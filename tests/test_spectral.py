@@ -15,6 +15,7 @@ from fnls import (
     l2_norm,
     linf_norm,
 )
+from fnls.spectral import fft, ifft
 from conftest import smooth_random_field
 
 
@@ -39,6 +40,29 @@ def test_grid_rejects_bad_N(N):
 def test_grid_rejects_bad_L(L):
     with pytest.raises(ParameterError):
         SpectralGrid(16, L)
+
+
+@pytest.mark.parametrize("shape", [(4,), (6,), (96,), (128,), (512,), (4096,), (3, 128)])
+def test_pocketfft_bindings_match_numpy_fft(shape):
+    # the bound gufuncs must give np.fft's bits; a numpy release that moves
+    # or changes the private module fails here
+    rng = np.random.default_rng(sum(shape))
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    N = shape[-1]
+    np.testing.assert_array_equal(fft(a, 1.0, out=np.empty_like(a)), np.fft.fft(a))
+    np.testing.assert_array_equal(ifft(a, 1.0, out=np.empty_like(a)),
+                                  np.fft.ifft(a, norm="forward"))
+    np.testing.assert_array_equal(ifft(a, 1.0 / N, out=np.empty_like(a)), np.fft.ifft(a))
+
+
+def test_fractional_symbol_cached_read_only():
+    g = SpectralGrid(16, 3.0)
+    sym = g.fractional_symbol(0.75)
+    assert g.fractional_symbol(0.75) is sym
+    assert not sym.flags.writeable
+    np.testing.assert_array_equal(sym, np.abs(g.kappa) ** 1.5)
+    assert g.fractional_symbol(1.0) is not sym
+    np.testing.assert_array_equal(g.fractional_symbol(1.0), g.kappa ** 2)
 
 
 def test_field_shape_check(small_grid):
