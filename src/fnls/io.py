@@ -88,6 +88,13 @@ class RunConfig:
 
         Raises ParameterError naming the offending field.
         """
+        for name in ("N", "scheme_p", "fp_max_iters", "invariant_stride",
+                     "snapshot_stride"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name}: expected an integer, got {value!r}")
+        if not isinstance(self.dealias, (bool, np.bool_)):
+            raise ParameterError(f"dealias: expected a boolean, got {self.dealias!r}")
         if self.N < 4 or self.N % 2:
             raise ParameterError(f"N: must be an even integer >= 4, got {self.N!r}")
         if not self.L > 0:
@@ -135,7 +142,7 @@ class RunConfig:
         return replace(self, output_dir=Path(output_dir))
 
 
-def _take(data: dict, key: str, kind: type, where: str) -> Any:
+def _take(data: dict, key: str, kind: type | None, where: str) -> Any:
     if key not in data:
         raise ParameterError(f"{where}{key}: missing required config key")
     value = data.pop(key)
@@ -149,19 +156,9 @@ def _take(data: dict, key: str, kind: type, where: str) -> Any:
         if not math.isfinite(number):
             raise ParameterError(f"{where}{key}: must be finite, got {value!r}")
         return number
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ParameterError(f"{where}{key}: expected an integer, got {value!r}")
-        return value
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ParameterError(f"{where}{key}: expected a boolean, got {value!r}")
-        return value
-    if kind is str:
-        if not isinstance(value, str):
-            raise ParameterError(f"{where}{key}: expected a string, got {value!r}")
-        return value
-    raise AssertionError(kind)
+    if kind is str and not isinstance(value, str):
+        raise ParameterError(f"{where}{key}: expected a string, got {value!r}")
+    return value    # integer and boolean fields: RunConfig.validate checks them
 
 
 def _parse_initial(data: Any) -> InitialSpec:
@@ -215,17 +212,17 @@ def load_config(path: Path | str) -> RunConfig:
 
     config = RunConfig(
         L=_take(data, "L", float, ""),
-        N=_take(data, "N", int, ""),
+        N=_take(data, "N", None, ""),
         s=_take(data, "s", float, ""),
         dt=_take(data, "dt", float, ""),
         T=_take(data, "T", float, ""),
-        scheme_p=_take(data, "scheme_p", int, ""),
+        scheme_p=_take(data, "scheme_p", None, ""),
         initial=_parse_initial(data.pop("initial")),
         fp_tol=_take(data, "fp_tol", float, "") if "fp_tol" in data else 1e-13,
-        fp_max_iters=_take(data, "fp_max_iters", int, "") if "fp_max_iters" in data else 200,
-        dealias=_take(data, "dealias", bool, "") if "dealias" in data else False,
-        invariant_stride=_take(data, "invariant_stride", int, "") if "invariant_stride" in data else 1,
-        snapshot_stride=_take(data, "snapshot_stride", int, "") if "snapshot_stride" in data else 100,
+        fp_max_iters=_take(data, "fp_max_iters", None, "") if "fp_max_iters" in data else 200,
+        dealias=_take(data, "dealias", None, "") if "dealias" in data else False,
+        invariant_stride=_take(data, "invariant_stride", None, "") if "invariant_stride" in data else 1,
+        snapshot_stride=_take(data, "snapshot_stride", None, "") if "snapshot_stride" in data else 100,
         output_dir=Path(_take(data, "output_dir", str, "")) if "output_dir" in data else Path("."),
     )
     if data:

@@ -23,6 +23,7 @@ from fnls import (
     l2_norm,
     momentum,
     nls_soliton,
+    petviashvili_profile,
     rhs,
     step,
     yoshida_coefficients,
@@ -220,6 +221,8 @@ def test_mean_field_shift_keeps_stage_values(small_grid, s, dealias):
     sp = SolverParams(k=2e-2, fp_tol=1e-13)
     scheme = yoshida_coefficients(2)
     u = smooth_random_field(small_grid, seed=37, amplitude=1.5)
+    ctx = integrators._StepContext(small_grid, scheme.b, sp, mp, np.fft.fft(u.values))
+    assert ctx.shift == pytest.approx(2 * np.mean(np.abs(u.values) ** 2), rel=1e-14)
     shifted, shifted_iters = reference_step(u, scheme, sp, mp)
     plain, plain_iters = reference_step(u, scheme, sp, mp, shift=False)
     for a, b in zip(shifted, plain):
@@ -289,21 +292,109 @@ def test_evolve_predictor_exact_for_linear_flow(small_grid):
     assert round(stats.mean_fp_iterations * M * q) == 2 * 4 * q + 1 * (M - 4) * q
 
 
-def test_predictor_rotates_by_unshifted_propagator(small_grid):
-    # the mean-field shift changes the preconditioner only; the predictor
-    # rotates increments by the linear flow's Cayley propagator
-    from fnls.integrators import _StagePredictor, _StepContext
-    sp = SolverParams(k=2e-2)
+def _record_rotations(monkeypatch):
+    # the predictor's measured rotations w and latest increments h_{n-1},
+    # copied at every step it extrapolates
+    seen = []
+
+    class Recording(integrators._StagePredictor):
+        def guess(self, stage_index, y_hat):
+            start = super().guess(stage_index, y_hat)
+            if stage_index == 1 and self.steps >= 4:
+                seen.append((self.omega.copy(),
+                             self.history[(self.steps - 1) % 4].copy()))
+            return start
+
+    monkeypatch.setattr(integrators, "_StagePredictor", Recording)
+    return seen
+
+
+def test_predictor_rotation_is_cayley_propagator_on_linear_flow(small_grid, monkeypatch):
+    # each mode of each stage increment turns by the full-step Cayley
+    # propagator R of the unshifted symbol, and the predictor measures it
+    seen = _record_rotations(monkeypatch)
+    sp = SolverParams(k=1e-2)
     scheme = yoshida_coefficients(2)
-    u = smooth_random_field(small_grid, seed=37, amplitude=1.5)
-    ctx = _StepContext(small_grid, scheme.b, sp, ModelParams(s=0.75, dealias=True),
-                       np.fft.fft(u.values))
-    assert ctx.shift == pytest.approx(2 * np.mean(np.abs(u.values) ** 2), rel=1e-14)
+    u = smooth_random_field(small_grid, seed=43)
+    evolve(u, 5 * sp.k, scheme, sp, ModelParams(s=0.75, linear=True))
     lam = small_grid.fractional_symbol(0.75)
     R = np.prod([(1 - 0.5j * sp.k * b * lam) / (1 + 0.5j * sp.k * b * lam)
                  for b in scheme.b], axis=0)
-    weights = _StagePredictor(ctx)._build_weights()
-    np.testing.assert_allclose(weights[0], 2.0 * R, rtol=1e-13)   # c_1 R / 2, c_1 = 4
+    (omega, latest), = seen
+    moving = latest != 0
+    assert moving.sum() >= small_grid.N * scheme.q - 2 * scheme.q
+    np.testing.assert_allclose(omega[moving], np.broadcast_to(R, omega.shape)[moving],
+                               rtol=0, atol=1e-12)
+
+
+def test_predictor_rotation_is_soliton_rotation(monkeypatch):
+    # the s = 1 soliton's modes turn by exp(i (lambda1 - kappa lambda2) k)
+    # per step, not by the linear propagator; the measured rotation matches
+    # it up to the scheme's local error, which is O(k^5) relative to the
+    # largest increment
+    seen = _record_rotations(monkeypatch)
+    grid = SpectralGrid(256, 8 * np.pi)
+    sol = SolitonParams(lambda1=1.0, lambda2=0.25)
+    u0 = nls_soliton(grid, 0.0, sol)
+    deviations = []
+    for k in (2.5e-2, 1.25e-2):
+        seen.clear()
+        evolve(u0, 10 * k, yoshida_coefficients(2), SolverParams(k=k), ModelParams(s=1.0))
+        omega, latest = seen[-1]
+        rotation = np.exp(1j * (sol.lambda1 - grid.kappa * sol.lambda2) * k)
+        share = np.abs(latest) / np.max(np.abs(latest), axis=1, keepdims=True)
+        core = share >= 1e-2
+        assert np.max(np.abs(omega - rotation)[core]) <= 1e-4
+        deviations.append(np.max(np.abs(omega - rotation) * share))
+        assert deviations[-1] <= 100 * k ** 5
+    assert deviations[0] >= 16 * deviations[1]
+
+
+def test_evolve_plane_wave_with_zero_increments(small_grid):
+    # A exp(i kappa x) with kappa = N/4 on (-pi, pi) has nodal values
+    # A i^j; every other mode stays exactly 0, so its increments and their
+    # product are 0 and the measured rotation must not be 0/0 (a NaN start
+    # diverges; tier-1 also turns any numpy warning into an error)
+    A, M = 1.5, 10
+    u = Field(A * 1j ** (np.arange(small_grid.N) % 4), small_grid)
+    mp = ModelParams(s=0.75)
+    sp = SolverParams(k=2e-2)
+    scheme = yoshida_coefficients(2)
+    out, _ = evolve(u, M * sp.k, scheme, sp, mp)
+    assert np.all(np.isfinite(out.values))
+    # the discrete solution stays a plane wave: stage j turns it by
+    # (1 - i phi) / (1 + i phi), phi = (k b_j / 2) (lam - |X|^2), where the
+    # midpoint's modulus is |X|^2 = A^2 / (1 + phi^2)
+    lam = (small_grid.N / 4) ** (2 * mp.s)
+    factor = 1.0
+    for b in scheme.b:
+        phi = 0.0
+        for _ in range(100):
+            phi = 0.5 * sp.k * b * (lam - A ** 2 / (1 + phi ** 2))
+        factor *= (1 - 1j * phi) / (1 + 1j * phi)
+    exact = u.values * factor ** M
+    err = l2_norm(Field(out.values - exact, small_grid))
+    assert err <= 10 * M * scheme.q * sp.fp_tol * l2_norm(u)
+
+
+def test_evolve_soliton_iteration_budget():
+    # the README soliton run; the linear-propagator frame took 5.35
+    # iterations per stage, the measured rotation 2.1
+    cfg = RunConfig(L=16 * np.pi, N=512, s=1.0, dt=1.25e-2, T=5.0, scheme_p=2,
+                    initial=SolitonInitial(1.0, 0.25))
+    u0 = nls_soliton(SpectralGrid(cfg.N, cfg.L), 0.0, cfg.initial)
+    _, stats = evolve(u0, cfg.T, *cfg.problem())
+    assert stats.mean_fp_iterations <= 3.0
+
+
+def test_evolve_fractional_profile_iteration_budget():
+    # criterion 05's Petviashvili profile at s = 0.75: 6.03 iterations per
+    # stage in the linear-propagator frame, 2.09 in the measured rotation
+    grid = SpectralGrid(1024, 16 * np.pi)
+    prof = petviashvili_profile(grid, 0.75, 1.0, 0.25)
+    _, stats = evolve(prof.profile, 5.0, yoshida_coefficients(2),
+                      SolverParams(k=1.25e-2), ModelParams(s=0.75))
+    assert stats.mean_fp_iterations <= 2.5
 
 
 @pytest.mark.parametrize("stride", [None, 1, 3])

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,38 @@ def test_load_config_errors_name_the_field(tmp_path, mutate, needle):
     prefix = ERROR_PREFIXES.get(needle, re.escape(needle) + ":")
     with pytest.raises(ParameterError, match="^" + prefix):
         load_config(write_config(tmp_path, data))
+
+
+@pytest.mark.parametrize("field,value,needle", [
+    ("N", 64.0, "N"),
+    ("N", True, "N"),
+    ("scheme_p", 2.0, "scheme_p"),
+    ("fp_max_iters", 2.5, "fp_max_iters"),
+    ("invariant_stride", 2.5, "invariant_stride"),
+    ("snapshot_stride", "10", "snapshot_stride"),
+    ("dealias", "yes", "dealias"),
+    ("dealias", 1, "dealias"),
+])
+def test_validate_rejects_mistyped_counts_and_flags(field, value, needle):
+    # configs built in Python skip the JSON parser; validate checks the
+    # types that the parser would have, before any later use of the value
+    config = RunConfig(L=np.pi, N=64, s=0.75, dt=1e-2, T=0.1, scheme_p=2,
+                       initial=SolitonInitial(lambda1=1.0))
+    config.validate()
+    with pytest.raises(ParameterError, match="^" + needle + ": expected a"):
+        replace(config, **{field: value}).validate()
+
+
+def test_validate_accepts_numpy_integers_and_booleans():
+    RunConfig(L=np.pi, N=np.int64(64), s=0.75, dt=1e-2, T=0.1,
+              scheme_p=np.int32(2), initial=SolitonInitial(lambda1=1.0),
+              fp_max_iters=np.int64(50), dealias=np.bool_(True)).validate()
+
+
+@pytest.mark.parametrize("value", [2.5, 50.0, True, "50"])
+def test_solver_params_rejects_non_integer_iteration_cap(value):
+    with pytest.raises(ParameterError, match="fp_max_iters"):
+        SolverParams(k=1e-2, fp_max_iters=value)
 
 
 def test_soliton_initial_is_validated_at_construction():
