@@ -53,33 +53,39 @@ inverse ones.  Physical values are formed only where something reads
 them: for observers, and for the returned Field.
 
 step starts every stage from X_0 = Y_prev.  evolve starts stage j of
-step n from an extrapolated midpoint instead, the standard starting
+step n from a predicted midpoint instead, the standard starting
 approximation for implicit symplectic Runge-Kutta methods (Hairer,
-Lubich & Wanner, Geometric Numerical Integration, VIII.6).  It keeps the
-Fourier increments h_{j,m} = fft(Y_j - Y_{j-1}) of the last four steps
-and, from step 5 on, starts from
+Lubich & Wanner, Geometric Numerical Integration, VIII.6).  The converged
+midpoint splits exactly as Z* = base + g: base = pre_j fft(Y_prev) is the
+linear part, which the kernel already forms exactly, and
+g = gain_j fft((|X*|^2 - c) X*) the nonlinear part, the split that
+integrating-factor methods use (Hochbruck & Ostermann, "Exponential
+integrators", Acta Numerica 2010).  So only g is predicted, and g, with
+the error of its prediction, carries the factor gain_j, |N gain_j| <=
+k |b_j| / 2.  evolve keeps each stage's g_{j,m} = Z*_{j,m} - base of the
+last three steps and, from step 5 on, starts from
 
-    X_0 = ifft( fft(Y_prev) + 1/2 sum_{i=1..4} c_i w_j^i h_{j,n-i} ),
-    c = (4, -6, 4, -1),  w_j = sign(h_{j,n-1} conj(h_{j,n-2})),
+    Z_0 = base + sum_{i=1..3} c_i w_j^i g_{j,n-i},
+    c = (3, -3, 1),  w_j = sign(g_{j,n-1} conj(g_{j,n-2})),
 
-a cubic extrapolation of the increment in the frame of w_j, the rotation
-of each mode of stage j's increment over the last step.  sign(z) = z / |z|,
-and 0 where z = 0, so a mode whose increments are exactly 0 starts at 0,
-not at 0/0.  Under the linear flow every increment turns by the full-step
-Cayley propagator R = prod_j (1 - i (k b_j/2) lam) / (1 + i (k b_j/2) lam),
-so w_j = R and the predictor is exact.  A traveling wave
-Phi(x - lambda2 t) e^{i lambda1 t} turns its modes by
-e^{i (lambda1 - kappa lambda2) k} instead, which w_j measures to the
-scheme's local error and R misses: on a Petviashvili wave (N = 4096,
-s = 0.75, k = 2.5e-2) the median start is 4.6e-12 from the converged
-midpoint, relative to it, against 8.0e-9 in R's frame, and the run takes
-1,939 iterations instead of 4,836.  Without any rotation, stiff modes that
-turn by more than pi/3 per step are amplified by the extrapolation and the
-stage solve can diverge.  The rotations and extrapolated increments of all
-q stages are built once per step on (q, N) arrays, into the slots of the
-oldest increments, which this step's increments overwrite next.  Only the
-starting iterate changes: the fixed-point map and its stopping test are
-the same, so the converged stages are too.
+a quadratic extrapolation in the frame of w_j, the rotation of each mode
+of stage j's nonlinear part over the last step.  sign(z) = z / |z|, and
+0 where z = 0, so a mode whose nonlinear part is exactly 0 starts at
+base, not at 0/0.  Under the linear flow every g is exactly 0 and each
+start is the fixed point.  A traveling wave Phi(x - lambda2 t)
+e^{i lambda1 t} turns its modes by e^{i (lambda1 - kappa lambda2) k} per
+step, which w_j measures to the scheme's local error.  On the finest
+criterion-01 row (N = 512, k = 3.125e-3, 9,600 stages) 9,569 stages stop
+after one sweep, against 2.0 sweeps per stage when the whole increment
+Y_j - Y_{j-1}, linear part included, was extrapolated.  The cubic
+c = (4, -6, 4, -1) saves another 0.5-2% of the iterations but moves
+where the last iterate stops, and with it the invariant drift: criterion
+04's x100 fp_tol drift ratio read 343 for I2, outside its band
+[33, 300], against 123 with the quadratic.  The rotations and predicted
+parts of all q stages are built once per step on (q, N) arrays, in the
+slots of the oldest parts, which the converged stages overwrite next.  Only the starting iterate
+changes: the fixed-point map and its stopping test are the same, so the
+converged stages are too.
 """
 
 from __future__ import annotations
@@ -244,57 +250,56 @@ class _StepContext:
 
 
 class _StagePredictor:
-    """Starting iterates for evolve's stages, extrapolated from the stage
-    increments of the last four steps in each mode's measured rotation
+    """Predicted nonlinear parts of evolve's stage midpoints, extrapolated
+    from those of the last three steps in each mode's measured rotation
     (see the module docstring)."""
 
-    # Horner factors of 1/2 sum_i c_i w^i h_{n-i}, c = (4, -6, 4, -1), from
-    # the inside out: c_4/c_3, c_3/c_2, c_2/c_1 and c_1/2.  0-d arrays, which
-    # a ufunc takes without the conversion a Python scalar costs each call.
-    FACTORS = tuple(np.array(f, dtype=complex) for f in (-0.25, -2.0 / 3.0, -1.5, 2.0))
+    # Horner factors of sum_i c_i w^i g_{n-i}, c = (3, -3, 1), from the
+    # inside out: c_3/c_2, c_2/c_1 and c_1.  0-d arrays, which a ufunc
+    # takes without the conversion a Python scalar costs each call.
+    FACTORS = tuple(np.array(f, dtype=complex) for f in (-1.0 / 3.0, -1.0, 3.0))
     TINY = np.array(np.finfo(float).tiny)
 
     def __init__(self, q: int, N: int):
-        # history[(m - 1) % 4, j - 1] = fft(Y_j - Y_{j-1}) of step m
-        self.history = np.empty((4, q, N), dtype=complex)
+        # history[(m - 1) % 3, j - 1] = g_{j,m}, the converged Z* - base
+        # of stage j in step m
+        self.history = np.empty((3, q, N), dtype=complex)
         self.omega = np.empty((q, N), dtype=complex)
         self.scale = np.empty((q, N))
         self.steps = 0          # completed steps recorded in history
 
     def _extrapolate(self):
-        # every stage's half increment, into the slot of h_{n-4}, which this
-        # step's records overwrite next
+        # every stage's predicted part, into the slot of g_{n-3}, which
+        # this step's converged parts overwrite next
         n = self.steps
-        h1, h2, h3, acc = (self.history[(n - i) % 4] for i in (1, 2, 3, 4))
+        g1, g2, acc = (self.history[(n - i) % 3] for i in (1, 2, 3))
         w, scale = self.omega, self.scale
-        np.conjugate(h2, out=w)
-        np.multiply(w, h1, out=w)
+        np.conjugate(g2, out=w)
+        np.multiply(w, g1, out=w)
         # w / |w|, and 0 where w is exactly 0: 0 / tiny, not 0 / 0 (np.sign
         # does both, but took 12 times as long as np.abs at q N = 12288)
         np.abs(w, out=scale)
         np.maximum(scale, self.TINY, out=scale)
         np.reciprocal(scale, out=scale)
         np.multiply(w, scale, out=w)
-        for factor, h in zip(self.FACTORS, (h3, h2, h1)):
+        for factor, g in zip(self.FACTORS, (g2, g1)):
             np.multiply(acc, w, out=acc)
             np.multiply(acc, factor, out=acc)
-            np.add(acc, h, out=acc)
+            np.add(acc, g, out=acc)
         np.multiply(acc, w, out=acc)
         np.multiply(acc, self.FACTORS[-1], out=acc)
 
-    def guess(self, stage_index: int, y_hat: np.ndarray) -> np.ndarray:
-        """Fourier coefficients of stage j's starting midpoint; y_hat itself
-        while fewer than four steps are recorded.  Called once per stage,
-        in stage order, each before the stage's record."""
+    def slot(self, stage_index: int) -> tuple[np.ndarray | None, np.ndarray]:
+        """Stage j's predicted nonlinear part, None while fewer than four
+        steps are recorded, and the array that takes its converged part
+        (the same array once predicting).  Called once per stage, in stage
+        order."""
+        g = self.history[self.steps % 3, stage_index - 1]
         if self.steps < 4:
-            return y_hat
+            return None, g
         if stage_index == 1:
             self._extrapolate()
-        acc = self.history[self.steps % 4, stage_index - 1]
-        return np.add(acc, y_hat, out=acc)
-
-    def record(self, stage_index: int, y_hat: np.ndarray, y_next_hat: np.ndarray):
-        np.subtract(y_next_hat, y_hat, out=self.history[self.steps % 4, stage_index - 1])
+        return g, g
 
 
 # Diverging stage iterates may overflow before the iteration cap trips;
@@ -304,13 +309,15 @@ _QUIET_OVERFLOW = {"over": "ignore", "invalid": "ignore"}
 
 
 def _stage_solve(ctx: _StepContext, stage_index: int, y_hat: np.ndarray,
-                 x0_hat: np.ndarray, out: np.ndarray) -> int:
+                 out: np.ndarray, g0: np.ndarray | None = None,
+                 g: np.ndarray | None = None) -> int:
     """Solve one midpoint stage from fft(Y_prev) = y_hat, starting from
-    X_0 = ifft(x0_hat); writes fft(Y_next) into out and returns the
-    iteration count.
+    Z_0 = base + g0, or from X_0 = Y_prev without g0; writes fft(Y_next)
+    into out, the converged nonlinear part Z* - base into g if given, and
+    returns the iteration count.
 
-    Neither input is written; x0_hat may be y_hat, but out must be
-    distinct from both.  The caller holds the _QUIET_OVERFLOW scope.
+    y_hat is not written; g0 may be g, but out must be distinct from the
+    other arrays.  The caller holds the _QUIET_OVERFLOW scope.
     """
     sp = ctx.sp
     N = ctx.grid.N
@@ -318,7 +325,10 @@ def _stage_solve(ctx: _StepContext, stage_index: int, y_hat: np.ndarray,
     x, work, mod, base, shift = ctx.x, ctx.work, ctx.mod, ctx.base, ctx.shift
     z, z_next = ctx.z
     np.multiply(ctx.pre[stage_index - 1], y_hat, out=base)
-    np.divide(x0_hat, N, out=z)
+    if g0 is None:
+        np.divide(y_hat, N, out=z)
+    else:
+        np.add(base, g0, out=z)
     ifft(z, 1.0, out=x)
     diff = norm = 0.0
     for it in range(1, sp.fp_max_iters + 1):
@@ -338,6 +348,8 @@ def _stage_solve(ctx: _StepContext, stage_index: int, y_hat: np.ndarray,
             # vacuous (inf <= fp_tol * inf)
             raise StageDivergenceError(stage_index, it, math.inf)
         if diff <= sp.fp_tol * norm:
+            if g is not None:
+                np.subtract(z, base, out=g)
             np.multiply(z, 2.0 * N, out=out)
             np.subtract(out, y_hat, out=out)
             return it
@@ -364,7 +376,7 @@ def step(U_n: Field, scheme: CompositionScheme, sp: SolverParams,
     spare = np.empty_like(y_hat)
     with np.errstate(**_QUIET_OVERFLOW):
         for j in range(1, scheme.q + 1):
-            iters = _stage_solve(ctx, j, y_hat, y_hat, spare)
+            iters = _stage_solve(ctx, j, y_hat, spare)
             report.fp_iterations_per_stage.append(iters)
             y_hat, spare = spare, y_hat
     return Field(ifft(y_hat, 1.0 / N, out=spare), U_n.grid), report
@@ -401,14 +413,20 @@ def evolve(U0: Field, T: float, scheme: CompositionScheme, sp: SolverParams,
 
     Observers are callables invoked as observer(step_index, t, field) at
     step 0 and after every step whose index is a multiple of their
-    ``stride`` attribute (default 1).  The loop itself is strictly
-    sequential and deterministic.
+    ``stride`` attribute (default 1), which must be a positive integer.
+    The loop itself is strictly sequential and deterministic.
     """
     if not T > 0.0:
         raise ParameterError(f"final time T must be positive, got {T!r}")
     M = exact_step_count(T, sp.k)
     grid = U0.grid
-    strides = [max(1, int(getattr(obs, "stride", 1))) for obs in observers]
+    strides = [getattr(obs, "stride", 1) for obs in observers]
+    for stride in strides:
+        if (isinstance(stride, bool) or not isinstance(stride, (int, np.integer))
+                or stride < 1):
+            raise ParameterError(
+                f"observer stride must be a positive integer, got {stride!r}"
+            )
 
     N = grid.N
     u_hat = fft(U0.values, 1.0, out=np.empty(N, dtype=complex))
@@ -431,9 +449,8 @@ def evolve(U0: Field, T: float, scheme: CompositionScheme, sp: SolverParams,
                 flagged += margin >= 1.0
             try:
                 for j in range(1, scheme.q + 1):
-                    x0_hat = predictor.guess(j, u_hat)
-                    total_iters += _stage_solve(ctx, j, u_hat, x0_hat, spare)
-                    predictor.record(j, u_hat, spare)
+                    g0, g = predictor.slot(j)
+                    total_iters += _stage_solve(ctx, j, u_hat, spare, g0, g)
                     u_hat, spare = spare, u_hat
             except StageDivergenceError as err:
                 err.annotate(step_index=n, time=(n - 1) * sp.k)

@@ -183,6 +183,24 @@ def test_invariant_drift_study_small_run():
     assert result.drift_H <= 1e-6
 
 
+@pytest.mark.parametrize("stride", [2.5, 0])
+def test_invariant_drift_study_rejects_bad_stride(stride):
+    with pytest.raises(ParameterError, match="^invariant_stride:"):
+        invariant_drift_study(desk_config(invariant_stride=stride))
+
+
+@pytest.mark.parametrize("study", [
+    lambda config: convergence_study(config, [1e-2], workers=1),
+    lambda config: error_growth_study(config, [0.5, 1.0]),
+    invariant_drift_study,
+], ids=["convergence", "error_growth", "invariant_drift"])
+def test_studies_validate_config(study):
+    # an out-of-range s is a bad configuration, not a numerical failure
+    # (a ConvergenceStudyError) of the run it would start
+    with pytest.raises(ParameterError, match="^s:"):
+        study(desk_config(s=1.5))
+
+
 def test_tracking_analytic_soliton():
     # parabolic peak refinement carries an O(h^4) amplitude bias; N = 4096
     # keeps it near 1e-7 for this profile
