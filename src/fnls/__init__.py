@@ -35,7 +35,6 @@ from .integrators import (
     CompositionScheme,
     RunStats,
     SolverParams,
-    StepReport,
     evolve,
     exact_step_count,
     imr_stage_solve,

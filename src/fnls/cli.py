@@ -46,7 +46,11 @@ EXIT_NUMERICAL = 3
 
 def _output_dir(config: RunConfig) -> Path:
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ParameterError(f"output_dir: cannot create {str(out)!r}: "
+                             f"{err.strerror or err}") from None
     return out
 
 
@@ -74,11 +78,7 @@ def cmd_simulate(config: RunConfig) -> int:
     print(f"steps:               {stats.steps}")
     print(f"fp iterations:       {stats.fp_iterations} "
           f"({stats.mean_fp_iterations:.2f} per stage)")
-    print(f"stability margin:    {stats.max_stability_margin:.3g} max "
-          f"({stats.initial_stability_margin:.3g} initial)")
     print(f"wall time:           {wall:.2f} s")
-    for warning in stats.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     return EXIT_OK
 
 

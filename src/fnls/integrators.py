@@ -36,12 +36,7 @@ work buffers that its _StepContext allocates once, and fft(Y_next) into an
 array the caller provides, so a run allocates nothing per stage or step.
 Every transform here calls numpy's pocketfft gufuncs directly (spectral.fft
 and spectral.ifft), skipping the np.fft wrapper's per-call argument
-handling.  On a 2-vCPU Intel Xeon VM (Python 3.11.7, numpy 2.4.6, best of
-7 repeats) one transform into a preallocated buffer took 7.3-8.9 us through
-np.fft and 3.9-4.7 us through the gufunc at N = 128, and 12-15 us against
-7-10 us at N = 512; at N = 4096 (50-75 us) the difference was inside the
-host's noise.  With two transforms per iteration, the wrapper was a third
-of an iteration's cost at N = 128.
+handling.
 
 The state is carried between stages and steps as Fourier coefficients
 only.  The stopping test ||X_{n+1} - X_n|| <= fp_tol ||X_{n+1}|| is applied
@@ -74,24 +69,19 @@ of stage j's nonlinear part over the last step.  sign(z) = z / |z|, and
 base, not at 0/0.  Under the linear flow every g is exactly 0 and each
 start is the fixed point.  A traveling wave Phi(x - lambda2 t)
 e^{i lambda1 t} turns its modes by e^{i (lambda1 - kappa lambda2) k} per
-step, which w_j measures to the scheme's local error.  On the finest
-criterion-01 row (N = 512, k = 3.125e-3, 9,600 stages) 9,569 stages stop
-after one sweep, against 2.0 sweeps per stage when the whole increment
-Y_j - Y_{j-1}, linear part included, was extrapolated.  The cubic
-c = (4, -6, 4, -1) saves another 0.5-2% of the iterations but moves
-where the last iterate stops, and with it the invariant drift: criterion
-04's x100 fp_tol drift ratio read 343 for I2, outside its band
-[33, 300], against 123 with the quadratic.  The rotations and predicted
-parts of all q stages are built once per step on (q, N) arrays, in the
-slots of the oldest parts, which the converged stages overwrite next.  Only the starting iterate
-changes: the fixed-point map and its stopping test are the same, so the
-converged stages are too.
+step, which w_j measures to the scheme's local error.  The rotations and
+predicted parts of all q stages are built once per step on (q, N) arrays,
+in the slots of the oldest parts, which the converged stages overwrite
+next.  Only the starting iterate changes: the fixed-point map and its
+stopping test are the same, so the converged stages are too.  step
+returns each stage's exact iteration count and evolve their total; a stage
+that does not converge raises StageDivergenceError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,7 +94,6 @@ __all__ = [
     "CompositionScheme",
     "exact_step_count",
     "SolverParams",
-    "StepReport",
     "RunStats",
     "yoshida_coefficients",
     "imr_stage_solve",
@@ -167,28 +156,19 @@ class SolverParams:
     k: float
     fp_tol: float = 1e-13
     fp_max_iters: int = 200
-    stability_check: bool = True
 
     def __post_init__(self):
         if self.k == 0.0 or not math.isfinite(self.k):
             raise ParameterError(f"time step k must be nonzero and finite, got {self.k!r}")
-        if not self.fp_tol > 0.0:
-            raise ParameterError(f"fp_tol must be positive, got {self.fp_tol!r}")
+        if not 0.0 < self.fp_tol < math.inf:
+            raise ParameterError(
+                f"fp_tol must be positive and finite, got {self.fp_tol!r}")
         if (isinstance(self.fp_max_iters, bool)
                 or not isinstance(self.fp_max_iters, (int, np.integer))
                 or self.fp_max_iters < 1):
             raise ParameterError(
                 f"fp_max_iters must be an integer >= 1, got {self.fp_max_iters!r}"
             )
-
-
-@dataclass
-class StepReport:
-    """Per-step solver diagnostics."""
-
-    fp_iterations_per_stage: list[int]
-    stability_margin: float
-    warnings: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -199,9 +179,6 @@ class RunStats:
     steps: int
     fp_iterations: int
     mean_fp_iterations: float
-    max_stability_margin: float
-    initial_stability_margin: float
-    warnings: list[str] = field(default_factory=list)
 
 
 class _StepContext:
@@ -235,18 +212,11 @@ class _StepContext:
                 tables[bj] = pre, gain
         self.pre = [tables[bj][0] for bj in b]
         self.gain = [tables[bj][1] for bj in b]
-        self.max_abs_b = max(abs(bj) for bj in b)
         self.x = np.empty(N, dtype=complex)         # nodal iterate X_n
         self.z = (np.empty(N, dtype=complex), np.empty(N, dtype=complex))
         self.work = np.empty(N, dtype=complex)      # cubic term, iterate change
         self.mod = np.empty(N)                      # |X_n|^2
         self.base = np.empty(N, dtype=complex)      # pre_j fft(Y_prev)
-
-    def stability_margin(self, u_hat: np.ndarray) -> float:
-        # 3 R^2 k N max|b_j| with R the discrete L2 norm of the current
-        # state, taken from its coefficients u_hat = fft(u) by Parseval.
-        r_sq = self.grid.h * np.vdot(u_hat, u_hat).real / self.grid.N
-        return 3.0 * r_sq * abs(self.sp.k) * self.grid.N * self.max_abs_b
 
 
 class _StagePredictor:
@@ -359,34 +329,26 @@ def _stage_solve(ctx: _StepContext, stage_index: int, y_hat: np.ndarray,
 
 
 def step(U_n: Field, scheme: CompositionScheme, sp: SolverParams,
-         mp: ModelParams) -> tuple[Field, StepReport]:
-    """Advance one composition step of length k."""
+         mp: ModelParams) -> tuple[Field, list[int]]:
+    """Advance one composition step of length k; also returns the
+    fixed-point iteration count of each stage."""
     N = U_n.grid.N
     y_hat = fft(U_n.values, 1.0, out=np.empty(N, dtype=complex))
     ctx = _StepContext(U_n.grid, scheme.b, sp, mp, y_hat)
-    report = StepReport(fp_iterations_per_stage=[], stability_margin=math.nan)
-    if sp.stability_check:
-        margin = ctx.stability_margin(y_hat)
-        report.stability_margin = margin
-        if margin >= 1.0:
-            report.warnings.append(
-                f"stability margin {margin:.3g} >= 1: stage fixed points "
-                "may be non-unique"
-            )
+    counts = []
     spare = np.empty_like(y_hat)
     with np.errstate(**_QUIET_OVERFLOW):
         for j in range(1, scheme.q + 1):
-            iters = _stage_solve(ctx, j, y_hat, spare)
-            report.fp_iterations_per_stage.append(iters)
+            counts.append(_stage_solve(ctx, j, y_hat, spare))
             y_hat, spare = spare, y_hat
-    return Field(ifft(y_hat, 1.0 / N, out=spare), U_n.grid), report
+    return Field(ifft(y_hat, 1.0 / N, out=spare), U_n.grid), counts
 
 
 def imr_stage_solve(Y_prev: Field, b_j: float, sp: SolverParams,
                     mp: ModelParams) -> tuple[Field, int]:
     """Single implicit midpoint substep of length k b_j: a one-stage step."""
-    out, report = step(Y_prev, CompositionScheme(1, 1, (float(b_j),), 2), sp, mp)
-    return out, report.fp_iterations_per_stage[0]
+    out, counts = step(Y_prev, CompositionScheme(1, 1, (float(b_j),), 2), sp, mp)
+    return out, counts[0]
 
 
 def exact_step_count(T: float, k: float) -> int:
@@ -434,19 +396,12 @@ def evolve(U0: Field, T: float, scheme: CompositionScheme, sp: SolverParams,
     for obs in observers:
         obs(0, 0.0, U0)
 
-    initial_margin = ctx.stability_margin(u_hat)
-    max_margin = math.nan if not sp.stability_check else -math.inf
     total_iters = 0
-    flagged = 0
     predictor = _StagePredictor(scheme.q, N)
     spare = np.empty_like(u_hat)    # u_hat and spare alternate as stage output
     caller_errstate = np.geterr()
     with np.errstate(**_QUIET_OVERFLOW):
         for n in range(1, M + 1):
-            if sp.stability_check:
-                margin = ctx.stability_margin(u_hat)
-                max_margin = max(max_margin, margin)
-                flagged += margin >= 1.0
             try:
                 for j in range(1, scheme.q + 1):
                     g0, g = predictor.slot(j)
@@ -465,18 +420,9 @@ def evolve(U0: Field, T: float, scheme: CompositionScheme, sp: SolverParams,
                         if n % stride == 0:
                             obs(n, t_n, field_n)
 
-    warnings = []
-    if flagged:
-        warnings.append(
-            f"stability margin >= 1 on {flagged} of {M} steps "
-            f"(max {max_margin:.3g})"
-        )
     stats = RunStats(
         steps=M,
         fp_iterations=total_iters,
         mean_fp_iterations=total_iters / (M * scheme.q),
-        max_stability_margin=max_margin,
-        initial_stability_margin=initial_margin,
-        warnings=warnings,
     )
     return Field(ifft(u_hat, 1.0 / N, out=spare), grid), stats

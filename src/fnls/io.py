@@ -97,8 +97,8 @@ class RunConfig:
             raise ParameterError(f"dealias: expected a boolean, got {self.dealias!r}")
         if self.N < 4 or self.N % 2:
             raise ParameterError(f"N: must be an even integer >= 4, got {self.N!r}")
-        if not self.L > 0:
-            raise ParameterError(f"L: must be positive, got {self.L!r}")
+        if not 0 < self.L < math.inf:
+            raise ParameterError(f"L: must be positive and finite, got {self.L!r}")
         if not 0.0 < self.s <= 1.0:
             raise ParameterError(f"s: must lie in (0, 1], got {self.s!r}")
         if not self.dt > 0:
@@ -113,8 +113,9 @@ class RunConfig:
             raise ParameterError(
                 f"scheme_p: must lie in [1, {MAX_COMPOSITION_LEVEL}], got {self.scheme_p!r}"
             )
-        if not self.fp_tol > 0:
-            raise ParameterError(f"fp_tol: must be positive, got {self.fp_tol!r}")
+        if not 0 < self.fp_tol < math.inf:
+            raise ParameterError(
+                f"fp_tol: must be positive and finite, got {self.fp_tol!r}")
         if self.fp_max_iters < 1:
             raise ParameterError(f"fp_max_iters: must be >= 1, got {self.fp_max_iters!r}")
         if self.invariant_stride < 1:
@@ -126,8 +127,9 @@ class RunConfig:
                 f"snapshot_stride: must be >= 1, got {self.snapshot_stride!r}"
             )
         init = self.initial
-        if isinstance(init, PetviashviliInitial) and not init.tol > 0:
-            raise ParameterError(f"initial.tol: must be positive, got {init.tol!r}")
+        if isinstance(init, PetviashviliInitial) and not 0 < init.tol < math.inf:
+            raise ParameterError(
+                f"initial.tol: must be positive and finite, got {init.tol!r}")
 
     def problem(self, dt: float | None = None) -> tuple[CompositionScheme,
                                                         SolverParams, ModelParams]:

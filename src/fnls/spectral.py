@@ -67,8 +67,8 @@ class SpectralGrid:
     def __post_init__(self):
         if not isinstance(self.N, (int, np.integer)) or self.N < 4 or self.N % 2:
             raise ParameterError(f"N must be an even integer >= 4, got {self.N!r}")
-        if not self.L > 0:
-            raise ParameterError(f"L must be positive, got {self.L!r}")
+        if not 0 < self.L < np.inf:
+            raise ParameterError(f"L must be positive and finite, got {self.L!r}")
         object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "L", float(self.L))
 

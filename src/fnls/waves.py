@@ -118,8 +118,8 @@ def petviashvili_profile(grid: SpectralGrid, s: float, lambda1: float,
     """
     if not 0.5 < s <= 1.0:
         raise ParameterError(f"petviashvili_profile requires s in (1/2, 1], got {s!r}")
-    if not tol > 0.0:
-        raise ParameterError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < np.inf:
+        raise ParameterError(f"tol must be positive and finite, got {tol!r}")
     if max_iters < 1:
         raise ParameterError(f"max_iters must be >= 1, got {max_iters!r}")
     ell = _profile_symbol(grid, s, lambda1, lambda2)

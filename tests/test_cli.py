@@ -56,7 +56,11 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     last = read_snapshot(snaps[-1])
     assert last.t == pytest.approx(0.5, rel=1e-15)
 
-    stdout = capsys.readouterr().out
+    captured = capsys.readouterr()
+    # a healthy run (every stage converges, the tracker finds its peak)
+    # has nothing to warn about
+    assert captured.err == ""
+    stdout = captured.out
     assert "steps" in stdout and "40" in stdout
     # the exact iteration total of the same run, made in process
     cfg = fnls.load_config(config)
@@ -151,6 +155,20 @@ def test_simulate_missing_config_file(tmp_path, capsys):
                  "--output", str(tmp_path)])
     assert code == EXIT_CONFIG
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "convergence", "profile"])
+def test_output_dir_that_cannot_be_created(tmp_path, capsys, command):
+    config = write_config(tmp_path, {
+        **SIM_CONFIG, "initial": {"kind": "petviashvili", "lambda1": 1.0}})
+    blocker = tmp_path / "taken"
+    blocker.write_text("")              # a file where the directory should go
+    for output in (blocker, blocker / "sub"):
+        code = main([command, "--config", str(config), "--output", str(output)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert "output_dir" in err
+        assert "Traceback" not in err
 
 
 def test_convergence_table_and_csv(tmp_path, capsys):

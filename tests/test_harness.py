@@ -195,10 +195,12 @@ def test_invariant_drift_study_rejects_bad_stride(stride):
     invariant_drift_study,
 ], ids=["convergence", "error_growth", "invariant_drift"])
 def test_studies_validate_config(study):
-    # an out-of-range s is a bad configuration, not a numerical failure
-    # (a ConvergenceStudyError) of the run it would start
-    with pytest.raises(ParameterError, match="^s:"):
-        study(desk_config(s=1.5))
+    # an out-of-range value is a bad configuration, not a numerical
+    # failure (a ConvergenceStudyError) of the run it would start; with
+    # fp_tol = inf every stage would stop after one sweep
+    for name, value in (("s", 1.5), ("L", math.inf), ("fp_tol", math.inf)):
+        with pytest.raises(ParameterError, match=f"^{name}:"):
+            study(desk_config(**{name: value}))
 
 
 def test_tracking_analytic_soliton():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,7 @@ def test_grid_rejects_bad_N(N):
         SpectralGrid(N, 1.0)
 
 
-@pytest.mark.parametrize("L", [0.0, -1.0])
+@pytest.mark.parametrize("L", [0.0, -1.0, math.inf])
 def test_grid_rejects_bad_L(L):
     with pytest.raises(ParameterError):
         SpectralGrid(16, L)

@@ -120,8 +120,9 @@ def test_petviashvili_validation(small_grid):
         petviashvili_profile(small_grid, 0.5, 1.0, 0.0)
     with pytest.raises(ParameterError):
         petviashvili_profile(small_grid, 0.4, 1.0, 0.0)
-    with pytest.raises(ParameterError):
-        petviashvili_profile(small_grid, 0.75, 1.0, 0.0, tol=0.0)
+    for bad in (0.0, math.inf):
+        with pytest.raises(ParameterError):
+            petviashvili_profile(small_grid, 0.75, 1.0, 0.0, tol=bad)
     with pytest.raises(ParameterError):
         petviashvili_profile(small_grid, 0.75, 1.0, 0.0, max_iters=0)
     with pytest.raises(ParameterError):
