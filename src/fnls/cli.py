@@ -24,6 +24,7 @@ from .harness import (
     WaveTracker,
     build_initial_field,
     convergence_study,
+    grid_allocation,
 )
 from .integrators import evolve
 from .io import (
@@ -110,9 +111,10 @@ def cmd_profile(config: RunConfig) -> int:
         raise ParameterError(
             "initial: the profile command requires initial.kind == 'petviashvili'"
         )
-    grid = SpectralGrid(config.N, config.L)
-    result = petviashvili_profile(grid, config.s, init.lambda1, init.lambda2,
-                                  tol=init.tol)
+    with grid_allocation(config.N):
+        grid = SpectralGrid(config.N, config.L)
+        result = petviashvili_profile(grid, config.s, init.lambda1, init.lambda2,
+                                      tol=init.tol)
     write_snapshot(out / "profile.bin", result.profile, s=config.s, t=0.0)
     metadata = {
         "lambda1": result.lambda1,

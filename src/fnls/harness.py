@@ -9,6 +9,7 @@ processes since they share no mutable state.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,30 +120,40 @@ def component_errors(u: Field, ref: Field) -> tuple[float, float]:
     return w * float(np.linalg.norm(d.real)), w * float(np.linalg.norm(d.imag))
 
 
+@contextmanager
+def grid_allocation(N: int):
+    """Report a grid or initial field too large to allocate as a bad N."""
+    try:
+        yield
+    except MemoryError:
+        raise ParameterError(f"N: cannot allocate the arrays of {N!r} grid points") from None
+
+
 def build_initial_field(config: RunConfig) -> tuple[SpectralGrid, Field]:
     """Construct the grid and initial data described by config.initial."""
-    grid = SpectralGrid(config.N, config.L)
-    init = config.initial
-    if isinstance(init, SolitonParams):
-        return grid, nls_soliton(grid, 0.0, init)
-    if isinstance(init, ProfileFileInitial):
-        snap = read_snapshot(init.path)
-        if snap.field.grid.N != grid.N or snap.field.grid.L != grid.L:
-            raise ParameterError(
-                f"initial.path: snapshot grid (N={snap.field.grid.N}, "
-                f"L={snap.field.grid.L!r}) does not match config "
-                f"(N={grid.N}, L={grid.L!r})"
-            )
-        if snap.s != config.s:
-            raise ParameterError(
-                f"initial.path: snapshot was computed for s={snap.s!r}, "
-                f"config has s={config.s!r}"
-            )
-        return grid, snap.field
-    if isinstance(init, PetviashviliInitial):
-        result = petviashvili_profile(grid, config.s, init.lambda1,
-                                      init.lambda2, tol=init.tol)
-        return grid, result.profile
+    with grid_allocation(config.N):
+        grid = SpectralGrid(config.N, config.L)
+        init = config.initial
+        if isinstance(init, SolitonParams):
+            return grid, nls_soliton(grid, 0.0, init)
+        if isinstance(init, ProfileFileInitial):
+            snap = read_snapshot(init.path)
+            if snap.field.grid.N != grid.N or snap.field.grid.L != grid.L:
+                raise ParameterError(
+                    f"initial.path: snapshot grid (N={snap.field.grid.N}, "
+                    f"L={snap.field.grid.L!r}) does not match config "
+                    f"(N={grid.N}, L={grid.L!r})"
+                )
+            if snap.s != config.s:
+                raise ParameterError(
+                    f"initial.path: snapshot was computed for s={snap.s!r}, "
+                    f"config has s={config.s!r}"
+                )
+            return grid, snap.field
+        if isinstance(init, PetviashviliInitial):
+            result = petviashvili_profile(grid, config.s, init.lambda1,
+                                          init.lambda2, tol=init.tol)
+            return grid, result.profile
     raise ParameterError(f"initial: unsupported kind {type(init).__name__}")
 
 

@@ -21,14 +21,16 @@ preconditioner, so the map contracts faster on fields that are not
 localized.  c = 2 mean|u|^2 = 2 ||fft(u)||^2 / N^2 is taken once, by
 Parseval, from the state the _StepContext starts from (the discrete mass
 is conserved); c = 0 for the linear model.  In Fourier space the map is
-two diagonal multipliers per stage, pre_j = A^{-1} / N and
+two diagonal multipliers per stage, pre_j = 2 A^{-1} and
 gain_j = i (k b_j / 2) pre_j P (gain_j = 0 for the linear model):
 
-    Z_{n+1} = gain_j fft((|X_n|^2 - c) X_n) + base,   base = pre_j fft(Y_prev),
-    X_{n+1} = N ifft(Z_{n+1}),
+    Z_{n+1} = gain_j F_n + base,   F_n = fft((|X_n|^2 - c) X_n),
+    base = pre_j fft(Y_prev),      X_{n+1} = ifft(Z_{n+1}) / (2 N),
 
-so Z is the coefficient vector of X scaled by 1/N and the inverse
-transform applies no normalization (numpy's norm="forward").  base is
+so Z = 2 fft(X) is the coefficient vector of X scaled by 2, and the
+inverse transform applies the normalization 1 / (2 N) (exact when N is a
+power of two).  The cubic term is formed in complex arithmetic as
+(conj(X) X - c) X, with no modulus and no real-to-complex cast.  base is
 formed once per stage, and each iteration is one shifted cubic term, one
 FFT pair and one multiply-add.  One kernel, _stage_solve, solves every stage
 for step and evolve (imr_stage_solve is a one-stage step); it writes into
@@ -40,25 +42,26 @@ handling.
 
 The state is carried between stages and steps as Fourier coefficients
 only.  The stopping test ||X_{n+1} - X_n|| <= fp_tol ||X_{n+1}|| is applied
-to Z, which by Parseval is the same test (||X|| = sqrt(N) ||Z||), so the
-converged stage is returned as fft(Y_next) = 2 N Z - fft(Y_prev) without
-an inverse transform.  A stage of n iterations costs 2n transforms: the
-inverse transform of its starting iterate, then n forward and n - 1
-inverse ones.  Physical values are formed only where something reads
-them: for observers, and for the returned Field.
+to Z, which by Parseval is the same test (||X|| = ||Z|| / (2 sqrt(N))),
+so the converged stage is returned as fft(Y_next) = Z - fft(Y_prev)
+without an inverse transform.  A stage of n iterations costs 2n
+transforms: the inverse transform of its starting iterate, then n forward
+and n - 1 inverse ones.  Physical values are formed only where something
+reads them: for observers, and for the returned Field.
 
 step starts every stage from X_0 = Y_prev.  evolve starts stage j of
 step n from a predicted midpoint instead, the standard starting
 approximation for implicit symplectic Runge-Kutta methods (Hairer,
 Lubich & Wanner, Geometric Numerical Integration, VIII.6).  The converged
 midpoint splits exactly as Z* = base + g: base = pre_j fft(Y_prev) is the
-linear part, which the kernel already forms exactly, and
-g = gain_j fft((|X*|^2 - c) X*) the nonlinear part, the split that
-integrating-factor methods use (Hochbruck & Ostermann, "Exponential
-integrators", Acta Numerica 2010).  So only g is predicted, and g, with
-the error of its prediction, carries the factor gain_j, |N gain_j| <=
-k |b_j| / 2.  evolve keeps each stage's g_{j,m} = Z*_{j,m} - base of the
-last three steps and, from step 5 on, starts from
+linear part, which the kernel already forms exactly, and g = gain_j F the
+nonlinear part, the split that integrating-factor methods use (Hochbruck
+& Ostermann, "Exponential integrators", Acta Numerica 2010).  So only g
+is predicted, and g, with the error of its prediction, carries the factor
+gain_j, |gain_j| <= k |b_j|.  The kernel writes each iterate's gain_j F
+straight into the array that holds g, and adds base to it from there, so
+the converged stage leaves its g in place.  evolve keeps each stage's
+g_{j,m} of the last three steps and, from step 5 on, starts from
 
     Z_0 = base + sum_{i=1..3} c_i w_j^i g_{j,n-i},
     c = (3, -3, 1),  w_j = sign(g_{j,n-1} conj(g_{j,n-2})),
@@ -189,19 +192,23 @@ class _StepContext:
 
     def __init__(self, grid: SpectralGrid, b: tuple[float, ...],
                  sp: SolverParams, mp: ModelParams, u_hat: np.ndarray):
-        self.grid = grid
-        self.sp = sp
         N = grid.N
-        # mean-field shift c = 2 mean|u|^2, by Parseval
-        self.shift = 0.0 if mp.linear else 2.0 * np.vdot(u_hat, u_hat).real / N ** 2
-        shifted = grid.fractional_symbol(mp.s) - self.shift * (
+        self.tol, self.max_iters = sp.fp_tol, sp.fp_max_iters
+        self.inverse_scale = 0.5 / N    # X = ifft(Z) / (2 N)
+        # mean-field shift c = 2 mean|u|^2, by Parseval; kept as a complex
+        # 0-d array, which the cubic term subtracts without a conversion
+        shift = 0.0 if mp.linear else 2.0 * np.vdot(u_hat, u_hat).real / N ** 2
+        self.shift = np.array(shift, dtype=complex)
+        shifted = grid.fractional_symbol(mp.s) - shift * (
             grid.dealias_mask if mp.dealias else 1.0)
         tables = {}     # symmetric compositions repeat b_j; equal stages share
         for bj in b:
             if bj not in tables:
                 ihk = 0.5j * sp.k * bj
-                pre = (N * ihk) * shifted       # A^-1 / N, in place
-                pre += N
+                # 2 A^-1 = 1 / (A / 2), in place; a reciprocal is cheaper
+                # than a division
+                pre = (0.5 * ihk) * shifted
+                pre += 0.5
                 np.reciprocal(pre, out=pre)
                 if mp.linear:
                     gain = np.zeros_like(pre)
@@ -210,12 +217,11 @@ class _StepContext:
                 else:
                     gain = ihk * pre
                 tables[bj] = pre, gain
-        self.pre = [tables[bj][0] for bj in b]
-        self.gain = [tables[bj][1] for bj in b]
+        self.stages = [tables[bj] for bj in b]      # (pre_j, gain_j)
         self.x = np.empty(N, dtype=complex)         # nodal iterate X_n
         self.z = (np.empty(N, dtype=complex), np.empty(N, dtype=complex))
         self.work = np.empty(N, dtype=complex)      # cubic term, iterate change
-        self.mod = np.empty(N)                      # |X_n|^2
+        self.g = np.empty(N, dtype=complex)         # nonlinear part, for step
         self.base = np.empty(N, dtype=complex)      # pre_j fft(Y_prev)
 
 
@@ -224,23 +230,22 @@ class _StagePredictor:
     from those of the last three steps in each mode's measured rotation
     (see the module docstring)."""
 
-    # Horner factors of sum_i c_i w^i g_{n-i}, c = (3, -3, 1), from the
-    # inside out: c_3/c_2, c_2/c_1 and c_1.  0-d arrays, which a ufunc
-    # takes without the conversion a Python scalar costs each call.
-    FACTORS = tuple(np.array(f, dtype=complex) for f in (-1.0 / 3.0, -1.0, 3.0))
+    # factors of 3 w (g1 - w (g2 - w g3 / 3)), as complex 0-d arrays, which
+    # a ufunc takes without the conversion a Python scalar costs each call
+    THIRD, THREE = (np.array(f, dtype=complex) for f in (1.0 / 3.0, 3.0))
     TINY = np.array(np.finfo(float).tiny)
 
     def __init__(self, q: int, N: int):
-        # history[(m - 1) % 3, j - 1] = g_{j,m}, the converged Z* - base
-        # of stage j in step m
+        # history[(m - 1) % 3, j - 1] = g_{j,m}, the converged nonlinear
+        # part of stage j in step m
         self.history = np.empty((3, q, N), dtype=complex)
         self.omega = np.empty((q, N), dtype=complex)
         self.scale = np.empty((q, N))
         self.steps = 0          # completed steps recorded in history
 
     def _extrapolate(self):
-        # every stage's predicted part, into the slot of g_{n-3}, which
-        # this step's converged parts overwrite next
+        # every stage's predicted part, into the slot of g3 = g_{n-3},
+        # which this step's converged parts overwrite next
         n = self.steps
         g1, g2, acc = (self.history[(n - i) % 3] for i in (1, 2, 3))
         w, scale = self.omega, self.scale
@@ -252,24 +257,13 @@ class _StagePredictor:
         np.maximum(scale, self.TINY, out=scale)
         np.reciprocal(scale, out=scale)
         np.multiply(w, scale, out=w)
-        for factor, g in zip(self.FACTORS, (g2, g1)):
-            np.multiply(acc, w, out=acc)
-            np.multiply(acc, factor, out=acc)
-            np.add(acc, g, out=acc)
         np.multiply(acc, w, out=acc)
-        np.multiply(acc, self.FACTORS[-1], out=acc)
-
-    def slot(self, stage_index: int) -> tuple[np.ndarray | None, np.ndarray]:
-        """Stage j's predicted nonlinear part, None while fewer than four
-        steps are recorded, and the array that takes its converged part
-        (the same array once predicting).  Called once per stage, in stage
-        order."""
-        g = self.history[self.steps % 3, stage_index - 1]
-        if self.steps < 4:
-            return None, g
-        if stage_index == 1:
-            self._extrapolate()
-        return g, g
+        np.multiply(acc, self.THIRD, out=acc)
+        np.subtract(g2, acc, out=acc)
+        np.multiply(acc, w, out=acc)
+        np.subtract(g1, acc, out=acc)
+        np.multiply(acc, w, out=acc)
+        np.multiply(acc, self.THREE, out=acc)
 
 
 # Diverging stage iterates may overflow before the iteration cap trips;
@@ -279,36 +273,33 @@ _QUIET_OVERFLOW = {"over": "ignore", "invalid": "ignore"}
 
 
 def _stage_solve(ctx: _StepContext, stage_index: int, y_hat: np.ndarray,
-                 out: np.ndarray, g0: np.ndarray | None = None,
-                 g: np.ndarray | None = None) -> int:
+                 out: np.ndarray, g: np.ndarray, predicted: bool) -> int:
     """Solve one midpoint stage from fft(Y_prev) = y_hat, starting from
-    Z_0 = base + g0, or from X_0 = Y_prev without g0; writes fft(Y_next)
-    into out, the converged nonlinear part Z* - base into g if given, and
-    returns the iteration count.
+    Z_0 = base + g if predicted, else from X_0 = Y_prev; writes fft(Y_next)
+    into out, the converged nonlinear part into g, and returns the
+    iteration count.
 
-    y_hat is not written; g0 may be g, but out must be distinct from the
-    other arrays.  The caller holds the _QUIET_OVERFLOW scope.
+    y_hat is not written, and out must be distinct from the other arrays.
+    The caller holds the _QUIET_OVERFLOW scope.
     """
-    sp = ctx.sp
-    N = ctx.grid.N
-    gain = ctx.gain[stage_index - 1]
-    x, work, mod, base, shift = ctx.x, ctx.work, ctx.mod, ctx.base, ctx.shift
+    pre, gain = ctx.stages[stage_index - 1]
+    x, work, base, shift = ctx.x, ctx.work, ctx.base, ctx.shift
     z, z_next = ctx.z
-    np.multiply(ctx.pre[stage_index - 1], y_hat, out=base)
-    if g0 is None:
-        np.divide(y_hat, N, out=z)
+    np.multiply(pre, y_hat, out=base)
+    if predicted:
+        np.add(base, g, out=z)
     else:
-        np.add(base, g0, out=z)
-    ifft(z, 1.0, out=x)
+        np.add(y_hat, y_hat, out=z)
+    ifft(z, ctx.inverse_scale, out=x)
     diff = norm = 0.0
-    for it in range(1, sp.fp_max_iters + 1):
-        np.abs(x, out=mod)
-        np.multiply(mod, mod, out=mod)
-        np.subtract(mod, shift, out=mod)
-        np.multiply(mod, x, out=work)
-        fft(work, 1.0, out=z_next)
-        np.multiply(z_next, gain, out=z_next)
-        np.add(z_next, base, out=z_next)
+    for it in range(1, ctx.max_iters + 1):
+        np.conjugate(x, out=work)
+        np.multiply(work, x, out=work)
+        np.subtract(work, shift, out=work)
+        np.multiply(work, x, out=work)
+        fft(work, 1.0, out=g)
+        np.multiply(g, gain, out=g)
+        np.add(g, base, out=z_next)
         np.subtract(z_next, z, out=work)
         diff = math.sqrt(np.vdot(work, work).real)
         norm = math.sqrt(np.vdot(z_next, z_next).real)
@@ -317,15 +308,12 @@ def _stage_solve(ctx: _StepContext, stage_index: int, y_hat: np.ndarray,
             # overflow: bail out now, the tolerance test would be
             # vacuous (inf <= fp_tol * inf)
             raise StageDivergenceError(stage_index, it, math.inf)
-        if diff <= sp.fp_tol * norm:
-            if g is not None:
-                np.subtract(z, base, out=g)
-            np.multiply(z, 2.0 * N, out=out)
-            np.subtract(out, y_hat, out=out)
+        if diff <= ctx.tol * norm:
+            np.subtract(z, y_hat, out=out)
             return it
-        ifft(z, 1.0, out=x)
+        ifft(z, ctx.inverse_scale, out=x)
     residual = diff / norm if norm > 0.0 else math.inf
-    raise StageDivergenceError(stage_index, sp.fp_max_iters, residual)
+    raise StageDivergenceError(stage_index, ctx.max_iters, residual)
 
 
 def step(U_n: Field, scheme: CompositionScheme, sp: SolverParams,
@@ -339,7 +327,7 @@ def step(U_n: Field, scheme: CompositionScheme, sp: SolverParams,
     spare = np.empty_like(y_hat)
     with np.errstate(**_QUIET_OVERFLOW):
         for j in range(1, scheme.q + 1):
-            counts.append(_stage_solve(ctx, j, y_hat, spare))
+            counts.append(_stage_solve(ctx, j, y_hat, spare, ctx.g, False))
             y_hat, spare = spare, y_hat
     return Field(ifft(y_hat, 1.0 / N, out=spare), U_n.grid), counts
 
@@ -398,20 +386,26 @@ def evolve(U0: Field, T: float, scheme: CompositionScheme, sp: SolverParams,
 
     total_iters = 0
     predictor = _StagePredictor(scheme.q, N)
+    # slots[r] pairs each stage index j with its row of history[r]
+    slots = [list(enumerate(history, 1)) for history in predictor.history]
     spare = np.empty_like(u_hat)    # u_hat and spare alternate as stage output
     caller_errstate = np.geterr()
     with np.errstate(**_QUIET_OVERFLOW):
         for n in range(1, M + 1):
+            # from step 5 on, every stage starts from its predicted part,
+            # written into the slot its converged part then overwrites
+            predicted = n > 4
+            if predicted:
+                predictor._extrapolate()
             try:
-                for j in range(1, scheme.q + 1):
-                    g0, g = predictor.slot(j)
-                    total_iters += _stage_solve(ctx, j, u_hat, spare, g0, g)
+                for j, g in slots[(n - 1) % 3]:
+                    total_iters += _stage_solve(ctx, j, u_hat, spare, g, predicted)
                     u_hat, spare = spare, u_hat
             except StageDivergenceError as err:
                 err.annotate(step_index=n, time=(n - 1) * sp.k)
                 raise
-            predictor.steps += 1
-            if any(n % stride == 0 for stride in strides):
+            predictor.steps = n
+            if observers and any(n % stride == 0 for stride in strides):
                 field_n = Field(ifft(u_hat, 1.0 / N, out=np.empty_like(u_hat)), grid)
                 t_n = n * sp.k
                 # observers run under the caller's numpy error handling

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Union
@@ -97,6 +98,9 @@ class RunConfig:
             raise ParameterError(f"dealias: expected a boolean, got {self.dealias!r}")
         if self.N < 4 or self.N % 2:
             raise ParameterError(f"N: must be an even integer >= 4, got {self.N!r}")
+        if 16 * self.N > sys.maxsize:
+            raise ParameterError(
+                f"N: {self.N!r} complex values exceed the addressable memory")
         if not 0 < self.L < math.inf:
             raise ParameterError(f"L: must be positive and finite, got {self.L!r}")
         if not 0.0 < self.s <= 1.0:

@@ -63,7 +63,8 @@ def nls_soliton(grid: SpectralGrid, t: float, sp: SolitonParams) -> Field:
     """
     a = sp.a
     xi = grid.nodes - sp.lambda2 * t - sp.x0
-    rho = np.sqrt(2.0 * a) / np.cosh(np.sqrt(a) * xi)
+    with np.errstate(over="ignore"):    # cosh = inf far out: sech is exactly 0
+        rho = np.sqrt(2.0 * a) / np.cosh(np.sqrt(a) * xi)
     phase = 0.5 * sp.lambda2 * xi + sp.theta0 + sp.lambda1 * t
     return Field(rho * np.exp(1j * phase), grid)
 

@@ -171,6 +171,46 @@ def test_output_dir_that_cannot_be_created(tmp_path, capsys, command):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "convergence", "profile"])
+def test_rejects_N_beyond_address_space(tmp_path, capsys, command):
+    # 2^62 points of 16 bytes each: no host can allocate them, and numpy
+    # refuses the shape outright ("array is too big")
+    config = write_config(tmp_path, {
+        **SIM_CONFIG, "N": 2**62, "initial": {"kind": "petviashvili", "lambda1": 1.0}})
+    code = main([command, "--config", str(config), "--output", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG, err
+    assert err.startswith("error: N:")
+
+
+@pytest.mark.parametrize("command", ["simulate", "convergence", "profile"])
+def test_grid_allocation_failure_is_a_bad_N(tmp_path, capsys, monkeypatch, command):
+    # an N that passes validation but exhausts memory while the grid and the
+    # initial field are built
+    def exhausted(grid):
+        raise MemoryError
+    monkeypatch.setattr(SpectralGrid, "nodes", property(exhausted))
+    initial = ({"kind": "petviashvili", "lambda1": 1.0} if command == "profile"
+               else SIM_CONFIG["initial"])
+    config = write_config(tmp_path, {**SIM_CONFIG, "initial": initial})
+    code = main([command, "--config", str(config), "--output", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG, err
+    assert err == f"error: N: cannot allocate the arrays of {SIM_CONFIG['N']} grid points\n"
+
+
+@pytest.mark.parametrize("command", ["profile", "simulate"])
+def test_wide_domain_run_leaves_stderr_empty(tmp_path, capsys, command):
+    # the Petviashvili start is the s = 1 soliton, whose cosh overflows at
+    # sqrt(a) |x| > 710: its tails are exactly 0, which is no warning
+    config = write_config(tmp_path, {
+        "L": 800.0, "N": 1024, "s": 0.75, "dt": 0.05, "T": 0.1, "scheme_p": 2,
+        "initial": {"kind": "petviashvili", "lambda1": 1.0, "lambda2": 0.25}})
+    code = main([command, "--config", str(config), "--output", str(tmp_path)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_convergence_table_and_csv(tmp_path, capsys):
     config = write_config(tmp_path, SIM_CONFIG)
     code = main(["convergence", "--config", str(config), "--output", str(tmp_path),

@@ -346,6 +346,45 @@ def test_predictor_rotation_is_soliton_rotation(monkeypatch):
     assert deviations[0] >= 16 * deviations[1]
 
 
+@pytest.mark.parametrize("dealias", [False, True])
+@pytest.mark.parametrize("N", [64, 96])     # 2N is not a power of two at N = 96
+def test_evolve_records_nonlinear_parts(N, dealias, monkeypatch):
+    # the kernel writes gain_j F of each iterate straight into the
+    # predictor's history; what stays there is the nonlinear part of the
+    # stage midpoint, Z* - pre_j fft(Y_{j-1}), with Z* = 2 fft(X*) and
+    # pre_j = 2 A_j^-1, checked against reference_step from each step's start
+    predictors = []
+
+    class Kept(integrators._StagePredictor):
+        def __init__(self, q, N):
+            super().__init__(q, N)
+            predictors.append(self)
+
+    monkeypatch.setattr(integrators, "_StagePredictor", Kept)
+    grid = SpectralGrid(N, np.pi)
+    mp = ModelParams(s=0.8, dealias=dealias)
+    sp = SolverParams(k=2e-2, fp_tol=1e-13)
+    scheme = yoshida_coefficients(2)
+    u = smooth_random_field(grid, seed=37, amplitude=1.5)
+    states = FieldRecorder()
+    evolve(u, 6 * sp.k, scheme, sp, mp, observers=(states,))
+    history = predictors[0].history
+    lam = grid.fractional_symbol(mp.s)
+    c = 2.0 * np.mean(np.abs(u.values) ** 2)
+    shifted = lam - c * (grid.dealias_mask if dealias else 1.0)
+    for m in (4, 5, 6):         # the three steps history holds
+        _, start = states.records[m - 1]
+        stages, _ = reference_step(start, scheme, sp, mp)
+        y_prev = start.values
+        for j, (b, y_next) in enumerate(zip(scheme.b, stages)):
+            z_star = np.fft.fft(y_prev + y_next)
+            pre = 2.0 / (1.0 + 0.5j * sp.k * b * shifted)
+            expected = z_star - pre * np.fft.fft(y_prev)
+            error = np.linalg.norm(history[(m - 1) % 3, j] - expected)
+            assert error <= 10 * sp.fp_tol * np.linalg.norm(z_star)
+            y_prev = y_next
+
+
 def test_evolve_plane_wave_with_zero_increments(small_grid):
     # A exp(i kappa x) with kappa = N/4 on (-pi, pi) has nodal values
     # A i^j; every other mode stays exactly 0, so its increments and their

@@ -50,6 +50,22 @@ def test_soliton_translates_with_time():
     assert g.nodes[j] == pytest.approx(1.0, abs=g.h)
 
 
+def test_soliton_on_wide_domain():
+    # sqrt(a) |xi| reaches 992 here, and cosh overflows beyond 710: the sech
+    # tails are exactly 0 (1 / inf), silently, and the rest is untouched
+    grid = SpectralGrid(2048, 1000.0)
+    sol = SolitonParams(1.0, 0.25)
+    u = nls_soliton(grid, 0.0, sol)
+    arg = np.sqrt(sol.a) * grid.nodes
+    far = np.abs(arg) > 711.0
+    assert np.count_nonzero(far) > grid.N // 4
+    np.testing.assert_array_equal(u.values[far], 0.0)
+    near = ~far & (np.abs(arg) < 710.0)
+    rho = np.sqrt(2.0 * sol.a) / np.cosh(arg[near])
+    np.testing.assert_array_equal(
+        u.values[near], rho * np.exp(1j * (0.5 * sol.lambda2 * grid.nodes[near])))
+
+
 def test_residual_operator_zero_map(small_grid):
     zero = Field(np.zeros(small_grid.N), small_grid)
     out = residual_operator(zero, 0.75, 1.0, 0.25)
