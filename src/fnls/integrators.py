@@ -32,10 +32,11 @@ inverse transform applies the normalization 1 / (2 N) (exact when N is a
 power of two).  The cubic term is formed in complex arithmetic as
 (conj(X) X - c) X, with no modulus and no real-to-complex cast.  base is
 formed once per stage, and each iteration is one shifted cubic term, one
-FFT pair and one multiply-add.  One kernel, _stage_solve, solves every stage
-for step and evolve (imr_stage_solve is a one-stage step); it writes into
-work buffers that its _StepContext allocates once, and fft(Y_next) into an
-array the caller provides, so a run allocates nothing per stage or step.
+FFT pair and one multiply-add.  One kernel, _stage_solve, solves every
+stage, and one driver, evolve, chains them (step is a one-step evolve).
+The kernel writes into work buffers that its _StepContext allocates once,
+and fft(Y_next) into an array evolve provides, so a run allocates nothing
+per stage or step.
 Every transform here calls numpy's pocketfft gufuncs directly (spectral.fft
 and spectral.ifft), skipping the np.fft wrapper's per-call argument
 handling.
@@ -49,8 +50,8 @@ transforms: the inverse transform of its starting iterate, then n forward
 and n - 1 inverse ones.  Physical values are formed only where something
 reads them: for observers, and for the returned Field.
 
-step starts every stage from X_0 = Y_prev.  evolve starts stage j of
-step n from a predicted midpoint instead, the standard starting
+Steps 1 to 4 start every stage from X_0 = Y_prev.  From step 5 on, stage
+j of step n starts from a predicted midpoint instead, the standard starting
 approximation for implicit symplectic Runge-Kutta methods (Hairer,
 Lubich & Wanner, Geometric Numerical Integration, VIII.6).  The converged
 midpoint splits exactly as Z* = base + g: base = pre_j fft(Y_prev) is the
@@ -76,8 +77,8 @@ step, which w_j measures to the scheme's local error.  The rotations and
 predicted parts of all q stages are built once per step on (q, N) arrays,
 in the slots of the oldest parts, which the converged stages overwrite
 next.  Only the starting iterate changes: the fixed-point map and its
-stopping test are the same, so the converged stages are too.  step
-returns each stage's exact iteration count and evolve their total; a stage
+stopping test are the same, so the converged stages are too.  evolve
+counts each stage's exact iterations (RunStats.stage_iterations); a stage
 that does not converge raises StageDivergenceError.
 """
 
@@ -114,17 +115,20 @@ class CompositionScheme:
     """Stage coefficients b_1..b_q of a composition method of order 2p."""
 
     p: int
-    q: int
     b: tuple[float, ...]
-    order: int
 
     def __post_init__(self):
-        if len(self.b) != self.q:
-            raise ParameterError(
-                f"scheme has q = {self.q} but {len(self.b)} coefficients"
-            )
-        if any(bj == 0.0 for bj in self.b):
-            raise ParameterError("stage coefficients must be nonzero")
+        if not self.b or not all(bj != 0.0 and math.isfinite(bj) for bj in self.b):
+            raise ParameterError("stage coefficients must be nonzero and finite "
+                                 f"(one or more), got {self.b!r}")
+
+    @property
+    def q(self) -> int:
+        return len(self.b)
+
+    @property
+    def order(self) -> int:
+        return 2 * self.p
 
 
 def yoshida_coefficients(p: int) -> CompositionScheme:
@@ -145,15 +149,15 @@ def yoshida_coefficients(p: int) -> CompositionScheme:
         w1 = 1.0 / (2.0 - 2.0 ** (1.0 / (2 * level - 1)))
         w0 = 1.0 - 2.0 * w1
         b = [w1 * c for c in b] + [w0 * c for c in b] + [w1 * c for c in b]
-    return CompositionScheme(p=int(p), q=3 ** (int(p) - 1), b=tuple(b), order=2 * int(p))
+    return CompositionScheme(p=int(p), b=tuple(b))
 
 
 @dataclass(frozen=True)
 class SolverParams:
     """Time step and fixed-point solver controls.
 
-    k may be negative (backward step) for reversibility checks; evolve
-    itself only accepts forward runs.
+    k may be negative, for backward runs: evolve takes a final time T of
+    the same sign, as T/k must be a positive integer step count.
     """
 
     k: float
@@ -176,12 +180,20 @@ class SolverParams:
 
 @dataclass
 class RunStats:
-    """Aggregated diagnostics of an evolve run: fp_iterations is the exact
-    total over all stages, mean_fp_iterations its mean per stage."""
+    """Diagnostics of an evolve run: stage_iterations[j - 1] is stage j's
+    exact fixed-point iteration total over all steps, fp_iterations their
+    sum and mean_fp_iterations the mean per stage solve."""
 
     steps: int
-    fp_iterations: int
-    mean_fp_iterations: float
+    stage_iterations: tuple[int, ...]
+
+    @property
+    def fp_iterations(self) -> int:
+        return sum(self.stage_iterations)
+
+    @property
+    def mean_fp_iterations(self) -> float:
+        return self.fp_iterations / (self.steps * len(self.stage_iterations))
 
 
 class _StepContext:
@@ -221,7 +233,6 @@ class _StepContext:
         self.x = np.empty(N, dtype=complex)         # nodal iterate X_n
         self.z = (np.empty(N, dtype=complex), np.empty(N, dtype=complex))
         self.work = np.empty(N, dtype=complex)      # cubic term, iterate change
-        self.g = np.empty(N, dtype=complex)         # nonlinear part, for step
         self.base = np.empty(N, dtype=complex)      # pre_j fft(Y_prev)
 
 
@@ -268,7 +279,7 @@ class _StagePredictor:
 
 # Diverging stage iterates may overflow before the iteration cap trips;
 # that is the expected failure route, not a condition worth a numpy
-# warning.  Each entry point enters this scope once around its stages.
+# warning.  evolve enters this scope once around all its stages.
 _QUIET_OVERFLOW = {"over": "ignore", "invalid": "ignore"}
 
 
@@ -280,7 +291,7 @@ def _stage_solve(ctx: _StepContext, stage_index: int, y_hat: np.ndarray,
     iteration count.
 
     y_hat is not written, and out must be distinct from the other arrays.
-    The caller holds the _QUIET_OVERFLOW scope.
+    evolve, the one caller, holds the _QUIET_OVERFLOW scope.
     """
     pre, gain = ctx.stages[stage_index - 1]
     x, work, base, shift = ctx.x, ctx.work, ctx.base, ctx.shift
@@ -318,24 +329,16 @@ def _stage_solve(ctx: _StepContext, stage_index: int, y_hat: np.ndarray,
 
 def step(U_n: Field, scheme: CompositionScheme, sp: SolverParams,
          mp: ModelParams) -> tuple[Field, list[int]]:
-    """Advance one composition step of length k; also returns the
-    fixed-point iteration count of each stage."""
-    N = U_n.grid.N
-    y_hat = fft(U_n.values, 1.0, out=np.empty(N, dtype=complex))
-    ctx = _StepContext(U_n.grid, scheme.b, sp, mp, y_hat)
-    counts = []
-    spare = np.empty_like(y_hat)
-    with np.errstate(**_QUIET_OVERFLOW):
-        for j in range(1, scheme.q + 1):
-            counts.append(_stage_solve(ctx, j, y_hat, spare, ctx.g, False))
-            y_hat, spare = spare, y_hat
-    return Field(ifft(y_hat, 1.0 / N, out=spare), U_n.grid), counts
+    """Advance one composition step of length k, as a one-step evolve;
+    also returns the fixed-point iteration count of each stage."""
+    out, stats = evolve(U_n, sp.k, scheme, sp, mp)
+    return out, list(stats.stage_iterations)
 
 
 def imr_stage_solve(Y_prev: Field, b_j: float, sp: SolverParams,
                     mp: ModelParams) -> tuple[Field, int]:
     """Single implicit midpoint substep of length k b_j: a one-stage step."""
-    out, counts = step(Y_prev, CompositionScheme(1, 1, (float(b_j),), 2), sp, mp)
+    out, counts = step(Y_prev, CompositionScheme(1, (float(b_j),)), sp, mp)
     return out, counts[0]
 
 
@@ -359,15 +362,13 @@ def exact_step_count(T: float, k: float) -> int:
 
 def evolve(U0: Field, T: float, scheme: CompositionScheme, sp: SolverParams,
            mp: ModelParams, observers: tuple = ()) -> tuple[Field, RunStats]:
-    """Run M = T/k composition steps from U0.
+    """Run M = T/k composition steps from U0, backward in time if k < 0.
 
     Observers are callables invoked as observer(step_index, t, field) at
     step 0 and after every step whose index is a multiple of their
     ``stride`` attribute (default 1), which must be a positive integer.
     The loop itself is strictly sequential and deterministic.
     """
-    if not T > 0.0:
-        raise ParameterError(f"final time T must be positive, got {T!r}")
     M = exact_step_count(T, sp.k)
     grid = U0.grid
     strides = [getattr(obs, "stride", 1) for obs in observers]
@@ -384,7 +385,7 @@ def evolve(U0: Field, T: float, scheme: CompositionScheme, sp: SolverParams,
     for obs in observers:
         obs(0, 0.0, U0)
 
-    total_iters = 0
+    counts = [0] * scheme.q     # counts[j - 1]: stage j's iterations
     predictor = _StagePredictor(scheme.q, N)
     # slots[r] pairs each stage index j with its row of history[r]
     slots = [list(enumerate(history, 1)) for history in predictor.history]
@@ -399,7 +400,7 @@ def evolve(U0: Field, T: float, scheme: CompositionScheme, sp: SolverParams,
                 predictor._extrapolate()
             try:
                 for j, g in slots[(n - 1) % 3]:
-                    total_iters += _stage_solve(ctx, j, u_hat, spare, g, predicted)
+                    counts[j - 1] += _stage_solve(ctx, j, u_hat, spare, g, predicted)
                     u_hat, spare = spare, u_hat
             except StageDivergenceError as err:
                 err.annotate(step_index=n, time=(n - 1) * sp.k)
@@ -414,9 +415,5 @@ def evolve(U0: Field, T: float, scheme: CompositionScheme, sp: SolverParams,
                         if n % stride == 0:
                             obs(n, t_n, field_n)
 
-    stats = RunStats(
-        steps=M,
-        fp_iterations=total_iters,
-        mean_fp_iterations=total_iters / (M * scheme.q),
-    )
+    stats = RunStats(steps=M, stage_iterations=tuple(counts))
     return Field(ifft(u_hat, 1.0 / N, out=spare), grid), stats

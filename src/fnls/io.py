@@ -98,7 +98,7 @@ class RunConfig:
             raise ParameterError(f"dealias: expected a boolean, got {self.dealias!r}")
         if self.N < 4 or self.N % 2:
             raise ParameterError(f"N: must be an even integer >= 4, got {self.N!r}")
-        if 16 * self.N > sys.maxsize:
+        if 16 * int(self.N) > sys.maxsize:
             raise ParameterError(
                 f"N: {self.N!r} complex values exceed the addressable memory")
         if not 0 < self.L < math.inf:
@@ -283,16 +283,14 @@ def read_snapshot(path: Path | str) -> Snapshot:
 class SnapshotWriter:
     """Observer writing one snapshot file every ``stride`` steps."""
 
-    def __init__(self, directory: Path | str, s: float, stride: int = 100,
-                 prefix: str = "snapshot"):
+    def __init__(self, directory: Path | str, s: float, stride: int = 100):
         self.directory = Path(directory)
         self.s = s
         self.stride = stride
-        self.prefix = prefix
         self.paths: list[Path] = []
 
     def __call__(self, n: int, t: float, field: Field) -> None:
-        path = self.directory / f"{self.prefix}_{n:08d}.bin"
+        path = self.directory / f"snapshot_{n:08d}.bin"
         write_snapshot(path, field, self.s, t)
         self.paths.append(path)
 

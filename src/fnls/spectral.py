@@ -16,6 +16,7 @@ layout.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -67,6 +68,9 @@ class SpectralGrid:
     def __post_init__(self):
         if not isinstance(self.N, (int, np.integer)) or self.N < 4 or self.N % 2:
             raise ParameterError(f"N must be an even integer >= 4, got {self.N!r}")
+        if 16 * int(self.N) > sys.maxsize:
+            raise ParameterError(
+                f"N = {self.N!r} complex values exceed the addressable memory")
         if not 0 < self.L < np.inf:
             raise ParameterError(f"L must be positive and finite, got {self.L!r}")
         object.__setattr__(self, "N", int(self.N))

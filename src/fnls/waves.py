@@ -99,7 +99,7 @@ def _profile_symbol(grid: SpectralGrid, s: float, lambda1: float,
     k = -N/2 drops it exactly as residual_operator's derivative does.
     """
     drift = grid.derivative_symbol.imag
-    return lambda1 + np.abs(grid.kappa) ** (2.0 * s) - lambda2 * drift
+    return lambda1 + grid.fractional_symbol(s) - lambda2 * drift
 
 
 def petviashvili_profile(grid: SpectralGrid, s: float, lambda1: float,

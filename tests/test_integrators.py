@@ -75,10 +75,13 @@ def test_yoshida_rejects_level_above_bound():
 
 
 def test_composition_scheme_validation():
+    sch = CompositionScheme(p=1, b=(0.5, 0.5))
+    assert sch.q == 2 and sch.order == 2
+    for bad in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="nonzero and finite"):
+            CompositionScheme(p=1, b=(1.0, bad))
     with pytest.raises(ParameterError):
-        CompositionScheme(p=1, q=2, b=(1.0,), order=2)
-    with pytest.raises(ParameterError):
-        CompositionScheme(p=1, q=2, b=(1.0, 0.0), order=2)
+        CompositionScheme(p=1, b=())
 
 
 def test_solver_params_validation():
@@ -291,6 +294,7 @@ def test_evolve_predictor_exact_for_linear_flow(small_grid):
     _, stats = evolve(u, 0.1, yoshida_coefficients(2), SolverParams(k=1e-2), mp)
     assert stats.steps == M
     assert round(stats.mean_fp_iterations * M * q) == 2 * 4 * q + 1 * (M - 4) * q
+    assert stats.stage_iterations == (2 * 4 + (M - 4),) * q
 
 
 def _record_rotations(monkeypatch):
@@ -536,6 +540,22 @@ def test_reversibility(small_grid, s):
     fwd, _ = step(u, scheme, SolverParams(k=2.5e-2, fp_tol=1e-13), mp)
     back, _ = step(fwd, scheme, SolverParams(k=-2.5e-2, fp_tol=1e-13), mp)
     assert l2_norm(Field(back.values - u.values, small_grid)) <= 100e-13 * l2_norm(u)
+
+
+@pytest.mark.parametrize("s", [0.6, 1.0])
+def test_evolve_runs_backward(small_grid, s):
+    # ten steps forward, then T = -10 k with step -k: the predictor runs in
+    # both directions, and the scheme's symmetry brings u0 back
+    mp = ModelParams(s=s)
+    scheme = yoshida_coefficients(2)
+    k, M = 2.5e-2, 10
+    forward, backward = SolverParams(k=k), SolverParams(k=-k)
+    u = smooth_random_field(small_grid, seed=59)
+    fwd, _ = evolve(u, M * k, scheme, forward, mp)
+    back, stats = evolve(fwd, -M * k, scheme, backward, mp)
+    assert stats.steps == M
+    err = l2_norm(Field(back.values - u.values, small_grid))
+    assert err <= 100 * forward.fp_tol * l2_norm(u)
 
 
 def test_linear_flow_preserves_mode_moduli(small_grid):

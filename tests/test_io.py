@@ -156,6 +156,14 @@ def test_validate_accepts_numpy_integers_and_booleans():
               fp_max_iters=np.int64(50), dealias=np.bool_(True)).validate()
 
 
+def test_validate_rejects_unaddressable_numpy_N():
+    # a numpy integer must not wrap around in the 16 N byte count
+    config = RunConfig(L=np.pi, N=np.int64(2**62), s=0.75, dt=1e-2, T=0.1,
+                       scheme_p=2, initial=SolitonInitial(lambda1=1.0))
+    with pytest.raises(ParameterError, match="^N: .* addressable memory"):
+        config.validate()
+
+
 @pytest.mark.parametrize("value", [2.5, 50.0, True, "50"])
 def test_solver_params_rejects_non_integer_iteration_cap(value):
     with pytest.raises(ParameterError, match="fp_max_iters"):

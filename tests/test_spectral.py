@@ -32,7 +32,8 @@ def test_grid_geometry():
     np.testing.assert_array_equal(g.mode_phase, [1, -1, 1, -1, 1, -1, 1, -1])
 
 
-@pytest.mark.parametrize("N", [3, 2, 0, -4, 7])
+# 2^62: 16 N bytes exceed the address space, rejected before any array is built
+@pytest.mark.parametrize("N", [3, 2, 0, -4, 7, 2**62, np.int64(2**62)])
 def test_grid_rejects_bad_N(N):
     with pytest.raises(ParameterError):
         SpectralGrid(N, 1.0)
