@@ -79,6 +79,7 @@ def cmd_simulate(config: RunConfig) -> int:
     print(f"steps:               {stats.steps}")
     print(f"fp iterations:       {stats.fp_iterations} "
           f"({stats.mean_fp_iterations:.2f} per stage)")
+    print(f"max contraction:     {stats.max_contraction:.3g}")
     print(f"wall time:           {wall:.2f} s")
     return EXIT_OK
 

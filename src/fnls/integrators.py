@@ -42,13 +42,13 @@ and spectral.ifft), skipping the np.fft wrapper's per-call argument
 handling.
 
 The state is carried between stages and steps as Fourier coefficients
-only.  The stopping test ||X_{n+1} - X_n|| <= fp_tol ||X_{n+1}|| is applied
-to Z, which by Parseval is the same test (||X|| = ||Z|| / (2 sqrt(N))),
-so the converged stage is returned as fft(Y_next) = Z - fft(Y_prev)
-without an inverse transform.  A stage of n iterations costs 2n
-transforms: the inverse transform of its starting iterate, then n forward
-and n - 1 inverse ones.  Physical values are formed only where something
-reads them: for observers, and for the returned Field.
+only.  The stopping test (below) is applied to Z, which by Parseval is the
+same as testing X (||X|| = ||Z|| / (2 sqrt(N))), so the converged stage
+is returned as fft(Y_next) = Z - fft(Y_prev) without an inverse
+transform.  A stage of n iterations costs 2n transforms: the inverse
+transform of its starting iterate, then n forward and n - 1 inverse ones.
+Physical values are formed only where something reads them: for
+observers, and for the returned Field.
 
 Steps 1 to 4 start every stage from X_0 = Y_prev.  From step 5 on, stage
 j of step n starts from a predicted midpoint instead, the standard starting
@@ -76,10 +76,30 @@ e^{i lambda1 t} turns its modes by e^{i (lambda1 - kappa lambda2) k} per
 step, which w_j measures to the scheme's local error.  The rotations and
 predicted parts of all q stages are built once per step on (q, N) arrays,
 in the slots of the oldest parts, which the converged stages overwrite
-next.  Only the starting iterate changes: the fixed-point map and its
-stopping test are the same, so the converged stages are too.  evolve
-counts each stage's exact iterations (RunStats.stage_iterations); a stage
-that does not converge raises StageDivergenceError.
+next.  Only the starting iterate changes: the fixed-point map is the
+same, so the converged stages agree to the stopping tolerance.  A run of
+at most four steps predicts nothing, builds no predictor, and its stages
+share one N-sized array for g.
+
+The stopping test has two parts.  Sweep n >= 2 stops when
+||Z_n - Z_{n-1}|| <= fp_tol ||Z_n||.  The first sweep of stage j stops
+when eta_j ||Z_1 - Z_0|| <= fp_tol ||Z_1||: if the map contracts by theta
+per sweep, Z_1 lies within theta / (1 - theta) ||Z_1 - Z_0|| of the fixed
+point, the stopping estimate of implicit Runge-Kutta stage iterations
+(Hairer & Wanner, Solving ODEs II, IV.8).  eta_j = max(0.01,
+theta / (1 - theta)), where theta is the largest ratio
+||dZ_n|| / ||dZ_{n-1}|| of stage j's last solve of two or more sweeps.
+eta_j is 1 before any such solve and whenever theta >= 1/2, and its floor
+means a first increment above 100 fp_tol is never accepted.  A fresh
+context starts at eta = 1, so step keeps the plain test on every sweep.
+A stage that needs several sweeps starts too far from its fixed point to
+pass the weighted first test, so its iterates are unchanged; a predicted
+start within about 100 fp_tol of the fixed point saves a sweep.  The
+estimate is kept off the later sweeps: there it moves where the last
+iterate stops, and with it criterion 04's invariant drift.  evolve counts
+each stage's exact iterations (RunStats.stage_iterations) and reports the
+largest theta measured (RunStats.max_contraction); a stage that does not
+converge raises StageDivergenceError.
 """
 
 from __future__ import annotations
@@ -157,7 +177,12 @@ class SolverParams:
     """Time step and fixed-point solver controls.
 
     k may be negative, for backward runs: evolve takes a final time T of
-    the same sign, as T/k must be a positive integer step count.
+    the same sign, as T/k must be a positive integer step count.  A stage
+    solve stops at sweep n >= 2 when ||Z_n - Z_{n-1}|| <= fp_tol ||Z_n||,
+    and at its first sweep when eta_j ||Z_1 - Z_0|| <= fp_tol ||Z_1||,
+    eta_j in [0.01, 1] being the stage's measured error estimate factor
+    theta / (1 - theta) (see the module docstring); at most fp_max_iters
+    sweeps are made.
     """
 
     k: float
@@ -182,10 +207,13 @@ class SolverParams:
 class RunStats:
     """Diagnostics of an evolve run: stage_iterations[j - 1] is stage j's
     exact fixed-point iteration total over all steps, fp_iterations their
-    sum and mean_fp_iterations the mean per stage solve."""
+    sum and mean_fp_iterations the mean per stage solve.  max_contraction
+    is the largest measured contraction ratio ||dZ_n|| / ||dZ_{n-1}|| of
+    any stage solve, 0.0 if no stage took two sweeps."""
 
     steps: int
     stage_iterations: tuple[int, ...]
+    max_contraction: float
 
     @property
     def fp_iterations(self) -> int:
@@ -230,6 +258,10 @@ class _StepContext:
                     gain = ihk * pre
                 tables[bj] = pre, gain
         self.stages = [tables[bj] for bj in b]      # (pre_j, gain_j)
+        # eta[j - 1]: weight of stage j's first-sweep error estimate, 1.0
+        # until a solve of two or more sweeps has measured its contraction
+        self.eta = [1.0] * len(b)
+        self.max_contraction = 0.0
         self.x = np.empty(N, dtype=complex)         # nodal iterate X_n
         self.z = (np.empty(N, dtype=complex), np.empty(N, dtype=complex))
         self.work = np.empty(N, dtype=complex)      # cubic term, iterate change
@@ -288,12 +320,14 @@ def _stage_solve(ctx: _StepContext, stage_index: int, y_hat: np.ndarray,
     """Solve one midpoint stage from fft(Y_prev) = y_hat, starting from
     Z_0 = base + g if predicted, else from X_0 = Y_prev; writes fft(Y_next)
     into out, the converged nonlinear part into g, and returns the
-    iteration count.
+    iteration count.  A solve of two or more sweeps records its measured
+    contraction theta in ctx.eta and ctx.max_contraction.
 
     y_hat is not written, and out must be distinct from the other arrays.
     evolve, the one caller, holds the _QUIET_OVERFLOW scope.
     """
     pre, gain = ctx.stages[stage_index - 1]
+    eta = ctx.eta[stage_index - 1]
     x, work, base, shift = ctx.x, ctx.work, ctx.base, ctx.shift
     z, z_next = ctx.z
     np.multiply(pre, y_hat, out=base)
@@ -302,7 +336,7 @@ def _stage_solve(ctx: _StepContext, stage_index: int, y_hat: np.ndarray,
     else:
         np.add(y_hat, y_hat, out=z)
     ifft(z, ctx.inverse_scale, out=x)
-    diff = norm = 0.0
+    diff, norm, theta = math.inf, 0.0, 0.0
     for it in range(1, ctx.max_iters + 1):
         np.conjugate(x, out=work)
         np.multiply(work, x, out=work)
@@ -312,16 +346,26 @@ def _stage_solve(ctx: _StepContext, stage_index: int, y_hat: np.ndarray,
         np.multiply(g, gain, out=g)
         np.add(g, base, out=z_next)
         np.subtract(z_next, z, out=work)
-        diff = math.sqrt(np.vdot(work, work).real)
+        prev, diff = diff, math.sqrt(np.vdot(work, work).real)
         norm = math.sqrt(np.vdot(z_next, z_next).real)
         z, z_next = z_next, z
         if not math.isfinite(norm):
             # overflow: bail out now, the tolerance test would be
             # vacuous (inf <= fp_tol * inf)
             raise StageDivergenceError(stage_index, it, math.inf)
-        if diff <= ctx.tol * norm:
+        # this sweep's contraction: 0 at the first (prev = inf); later,
+        # prev > 0, as a sweep that changed nothing has already stopped
+        ratio = diff / prev
+        if ratio > theta:
+            theta = ratio
+        if eta * diff <= ctx.tol * norm:
             np.subtract(z, y_hat, out=out)
+            if it > 1:
+                ctx.eta[stage_index - 1] = (max(0.01, theta / (1.0 - theta))
+                                            if theta < 0.5 else 1.0)
+                ctx.max_contraction = max(ctx.max_contraction, theta)
             return it
+        eta = 1.0       # later sweeps keep the plain increment test
         ifft(z, ctx.inverse_scale, out=x)
     residual = diff / norm if norm > 0.0 else math.inf
     raise StageDivergenceError(stage_index, ctx.max_iters, residual)
@@ -386,9 +430,14 @@ def evolve(U0: Field, T: float, scheme: CompositionScheme, sp: SolverParams,
         obs(0, 0.0, U0)
 
     counts = [0] * scheme.q     # counts[j - 1]: stage j's iterations
-    predictor = _StagePredictor(scheme.q, N)
-    # slots[r] pairs each stage index j with its row of history[r]
-    slots = [list(enumerate(history, 1)) for history in predictor.history]
+    if M > 4:
+        predictor = _StagePredictor(scheme.q, N)
+        # slots[r] pairs each stage index j with its row of history[r]
+        slots = [list(enumerate(history, 1)) for history in predictor.history]
+    else:
+        # nothing is predicted: every stage writes its g into one scratch
+        scratch = np.empty_like(u_hat)
+        slots = [[(j, scratch) for j in range(1, scheme.q + 1)]]
     spare = np.empty_like(u_hat)    # u_hat and spare alternate as stage output
     caller_errstate = np.geterr()
     with np.errstate(**_QUIET_OVERFLOW):
@@ -397,15 +446,15 @@ def evolve(U0: Field, T: float, scheme: CompositionScheme, sp: SolverParams,
             # written into the slot its converged part then overwrites
             predicted = n > 4
             if predicted:
+                predictor.steps = n - 1
                 predictor._extrapolate()
             try:
-                for j, g in slots[(n - 1) % 3]:
+                for j, g in slots[(n - 1) % len(slots)]:
                     counts[j - 1] += _stage_solve(ctx, j, u_hat, spare, g, predicted)
                     u_hat, spare = spare, u_hat
             except StageDivergenceError as err:
                 err.annotate(step_index=n, time=(n - 1) * sp.k)
                 raise
-            predictor.steps = n
             if observers and any(n % stride == 0 for stride in strides):
                 field_n = Field(ifft(u_hat, 1.0 / N, out=np.empty_like(u_hat)), grid)
                 t_n = n * sp.k
@@ -415,5 +464,6 @@ def evolve(U0: Field, T: float, scheme: CompositionScheme, sp: SolverParams,
                         if n % stride == 0:
                             obs(n, t_n, field_n)
 
-    stats = RunStats(steps=M, stage_iterations=tuple(counts))
+    stats = RunStats(steps=M, stage_iterations=tuple(counts),
+                     max_contraction=ctx.max_contraction)
     return Field(ifft(u_hat, 1.0 / N, out=spare), grid), stats

@@ -70,6 +70,10 @@ def test_simulate_writes_outputs(tmp_path, capsys):
                                              fp_max_iters=cfg.fp_max_iters),
                            fnls.ModelParams(s=cfg.s, dealias=cfg.dealias))
     assert f"fp iterations:       {stats.fp_iterations} (" in stdout
+    # and, on the next line, its largest measured contraction
+    lines = stdout.splitlines()
+    after = next(i for i, line in enumerate(lines) if line.startswith("fp iterations"))
+    assert lines[after + 1] == f"max contraction:     {stats.max_contraction:.3g}"
 
 
 def test_simulate_invariant_stride(tmp_path):

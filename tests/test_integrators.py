@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -447,6 +448,58 @@ def test_evolve_fractional_profile_iteration_budget():
     _, stats = evolve(prof.profile, 5.0, yoshida_coefficients(2),
                       SolverParams(k=1.25e-2), ModelParams(s=0.75))
     assert stats.mean_fp_iterations <= 1.5
+
+
+def test_evolve_first_sweep_estimate_on_fractional_profile():
+    # at k = 2.5e-2 most predicted stages start within about 100 fp_tol of
+    # their fixed point: the first sweep's increment, weighted by the
+    # stage's measured contraction, already passes (2.33 sweeps per stage
+    # with the plain increment test on every sweep, 1.47 with the estimate)
+    grid = SpectralGrid(1024, 16 * np.pi)
+    u = petviashvili_profile(grid, 0.75, 1.0, 0.25).profile
+    scheme, sp, mp = yoshida_coefficients(2), SolverParams(k=2.5e-2), ModelParams(s=0.75)
+    M = 200
+    out, stats = evolve(u, M * sp.k, scheme, sp, mp)
+    assert stats.mean_fp_iterations <= 1.6
+    # step's fresh context keeps the plain test on every sweep: the states
+    # agree to the stopping tolerance
+    looped = u
+    for _ in range(M):
+        looped, _ = step(looped, scheme, sp, mp)
+    diff = l2_norm(Field(out.values - looped.values, grid))
+    assert diff <= 10 * M * scheme.q * sp.fp_tol * l2_norm(u)
+
+
+def test_evolve_reports_max_contraction(small_grid):
+    # under the linear flow every second sweep changes nothing: ratio 0
+    mp = ModelParams(s=0.75, linear=True)
+    u = smooth_random_field(small_grid, seed=43)
+    _, stats = evolve(u, 0.1, yoshida_coefficients(2), SolverParams(k=1e-2), mp)
+    assert stats.max_contraction == 0.0
+    # criterion 04's data contracts by about 0.1 per sweep at k = 0.25
+    grid = SpectralGrid(128, np.pi)
+    x = grid.nodes
+    vals = (0.5 * np.exp(1j * x) + 0.4 * np.exp(2j * x + 1.1j)
+            + 0.2 * np.exp(-2j * x + 2.6j) + 0.1 * np.exp(4j * x))
+    _, stats = evolve(Field(vals, grid), 25.0, yoshida_coefficients(2),
+                      SolverParams(k=0.25), ModelParams(s=1.0))
+    assert 0.05 <= stats.max_contraction < 0.5
+
+
+def test_step_allocates_no_predictor():
+    # a one-step evolve predicts nothing, so its stages share one N-sized
+    # scratch instead of the predictor's (3, q, N) history (1.9 MiB here)
+    grid = SpectralGrid(512, np.pi)
+    u = smooth_random_field(grid, seed=47)
+    scheme, sp, mp = yoshida_coefficients(5), SolverParams(k=1e-2), ModelParams(s=0.75)
+    assert scheme.q == 81
+    tracemalloc.start()
+    try:
+        step(u, scheme, sp, mp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("stride", [None, 1, 3])

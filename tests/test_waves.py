@@ -139,8 +139,13 @@ def test_petviashvili_validation(small_grid):
     for bad in (0.0, math.inf):
         with pytest.raises(ParameterError):
             petviashvili_profile(small_grid, 0.75, 1.0, 0.0, tol=bad)
-    with pytest.raises(ParameterError):
-        petviashvili_profile(small_grid, 0.75, 1.0, 0.0, max_iters=0)
+    for bad in (0, 2.5, True):
+        with pytest.raises(ParameterError):
+            petviashvili_profile(small_grid, 0.75, 1.0, 0.0, max_iters=bad)
+    # numpy integers are integers
+    result = petviashvili_profile(SpectralGrid(256, 16 * np.pi), 0.75, 1.0, 0.25,
+                                  max_iters=np.int64(80))
+    assert result.residual <= 1e-10
     with pytest.raises(ParameterError):
         petviashvili_profile(small_grid, 0.75, 0.2, 1.0)   # a <= 0
 
