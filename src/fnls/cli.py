@@ -49,9 +49,9 @@ def _output_dir(config: RunConfig) -> Path:
     out = Path(config.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
+    except (OSError, ValueError) as err:    # ValueError: a NUL byte in the path
         raise ParameterError(f"output_dir: cannot create {str(out)!r}: "
-                             f"{err.strerror or err}") from None
+                             f"{getattr(err, 'strerror', None) or err}") from None
     return out
 
 

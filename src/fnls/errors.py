@@ -2,7 +2,10 @@
 
 Exit-code mapping used by the CLI: ParameterError means a bad configuration
 or argument (exit 2); the divergence and tracking errors mean a numerical
-failure at runtime (exit 3).
+failure at runtime (exit 3).  Each error passes its constructor arguments
+to Exception and builds its message from its fields, so default pickling
+(a pool worker's failure) replays the constructor and restores the fields
+set later, such as step_index.
 """
 
 from __future__ import annotations
@@ -38,55 +41,38 @@ class StageDivergenceError(FnlsError, RuntimeError):
     """
 
     def __init__(self, stage_index: int, iterations: int, residual: float):
+        super().__init__(stage_index, iterations, residual)
         self.stage_index = stage_index
         self.iterations = iterations
         self.residual = residual
         self.step_index: int | None = None
         self.time: float | None = None
-        super().__init__(
-            f"fixed-point stage solve diverged at stage {stage_index}: "
-            f"residual {residual:.3e} after {iterations} iterations"
-        )
 
     def annotate(self, step_index: int, time: float) -> None:
         # Called by evolve so CLI messages can report where the run failed.
         self.step_index = step_index
         self.time = time
-        self.args = (
-            f"{self.args[0]} (step {step_index}, t = {time:.6g})",
-        )
 
-    def __reduce__(self):
-        # The message-only default would not match __init__'s signature.
-        return (
-            _rebuild_stage_divergence,
-            (self.stage_index, self.iterations, self.residual,
-             self.step_index, self.time),
-        )
-
-
-def _rebuild_stage_divergence(stage_index, iterations, residual,
-                              step_index, time):
-    err = StageDivergenceError(stage_index, iterations, residual)
-    if step_index is not None:
-        err.annotate(step_index, time)
-    return err
+    def __str__(self) -> str:
+        where = ("" if self.step_index is None
+                 else f" (step {self.step_index}, t = {self.time:.6g})")
+        return (f"fixed-point stage solve diverged at stage {self.stage_index}: "
+                f"residual {self.residual:.3e} after {self.iterations} "
+                f"iterations{where}")
 
 
 class ProfileDivergenceError(FnlsError, RuntimeError):
     """Petviashvili iteration failed to reach the requested tolerance."""
 
     def __init__(self, iterations: int, residual_history: list[float]):
+        super().__init__(iterations, residual_history)
         self.iterations = iterations
         self.residual_history = residual_history
-        last = residual_history[-1] if residual_history else float("nan")
-        super().__init__(
-            f"Petviashvili iteration did not converge after {iterations} "
-            f"iterations (last residual {last:.3e})"
-        )
 
-    def __reduce__(self):
-        return (ProfileDivergenceError, (self.iterations, self.residual_history))
+    def __str__(self) -> str:
+        last = self.residual_history[-1] if self.residual_history else float("nan")
+        return (f"Petviashvili iteration did not converge after {self.iterations} "
+                f"iterations (last residual {last:.3e})")
 
 
 class TrackingError(FnlsError, RuntimeError):
@@ -105,16 +91,12 @@ class ConvergenceStudyError(FnlsError, RuntimeError):
     """
 
     def __init__(self, failed_dt: float, partial_rows: list, cause: Exception):
+        super().__init__(failed_dt, partial_rows, cause)
         self.failed_dt = failed_dt
         self.partial_rows = partial_rows
         self.__cause__ = cause
-        super().__init__(
-            f"convergence study aborted: run with dt = {failed_dt:g} failed "
-            f"({cause}); {len(partial_rows)} completed row(s) retained"
-        )
 
-    def __reduce__(self):
-        return (
-            ConvergenceStudyError,
-            (self.failed_dt, self.partial_rows, self.__cause__),
-        )
+    def __str__(self) -> str:
+        return (f"convergence study aborted: run with dt = {self.failed_dt:g} "
+                f"failed ({self.__cause__}); {len(self.partial_rows)} completed "
+                f"row(s) retained")

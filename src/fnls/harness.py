@@ -201,7 +201,6 @@ def convergence_study(config: RunConfig, dt_list: list[float],
     study; the rows before it in dt_list ride along on the raised
     ConvergenceStudyError.
     """
-    config.validate()
     if not dt_list:
         raise ParameterError("dt_list must not be empty")
     for dt in dt_list:
@@ -272,7 +271,6 @@ def error_growth_study(config: RunConfig, checkpoint_times: list[float],
     combined error sqrt(err_v^2 + err_w^2) over ``fit_window`` (default:
     the second half of the checkpoint time range).
     """
-    config.validate()
     if not checkpoint_times:
         raise ParameterError("checkpoint_times must not be empty")
     soliton = _require_soliton_initial(config)
@@ -313,7 +311,6 @@ def error_growth_study(config: RunConfig, checkpoint_times: list[float],
 
 def invariant_drift_study(config: RunConfig) -> InvariantDriftResult:
     """Run the configured evolution and summarize invariant drift."""
-    config.validate()
     grid, u0 = build_initial_field(config)
     scheme, sp, mp = config.problem()
     recorder = InvariantRecorder(mp, stride=config.invariant_stride)

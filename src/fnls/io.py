@@ -84,11 +84,9 @@ class RunConfig:
     snapshot_stride: int = 100
     output_dir: Path = Path(".")
 
-    def validate(self) -> None:
-        """Check every field against its operation preconditions.
-
-        Raises ParameterError naming the offending field.
-        """
+    def __post_init__(self) -> None:
+        # A RunConfig that exists is valid: check every field against its
+        # operation preconditions, raising ParameterError naming the field.
         for name in ("N", "scheme_p", "fp_max_iters", "invariant_stride",
                      "snapshot_stride"):
             value = getattr(self, name)
@@ -148,9 +146,14 @@ class RunConfig:
         return replace(self, output_dir=Path(output_dir))
 
 
-def _take(data: dict, key: str, kind: type | None, where: str) -> Any:
+def _take(data: dict, out: dict, key: str, kind: Any, where: str = "",
+          required: bool = False) -> None:
+    """Move data[key] to out[key], checked as a float, str or Path, parsed by
+    a callable kind, or (kind None) left to the dataclass; defaults live there."""
     if key not in data:
-        raise ParameterError(f"{where}{key}: missing required config key")
+        if required:
+            raise ParameterError(f"{where}{key}: missing required config key")
+        return
     value = data.pop(key)
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -161,43 +164,43 @@ def _take(data: dict, key: str, kind: type | None, where: str) -> Any:
             number = math.inf
         if not math.isfinite(number):
             raise ParameterError(f"{where}{key}: must be finite, got {value!r}")
-        return number
-    if kind is str and not isinstance(value, str):
+        value = number
+    elif kind in (str, Path) and not isinstance(value, str):
         raise ParameterError(f"{where}{key}: expected a string, got {value!r}")
-    return value    # integer and boolean fields: RunConfig.validate checks them
+    elif kind is not None:
+        value = kind(value)     # str, Path, or a nested object's parser
+    out[key] = value
 
 
 def _parse_initial(data: Any) -> InitialSpec:
     if not isinstance(data, dict):
         raise ParameterError(f"initial: expected an object, got {data!r}")
-    data = dict(data)
-    kind = _take(data, "kind", str, "initial.")
+    data, fields = dict(data), {}
+    _take(data, fields, "kind", str, "initial.", required=True)
+    kind = fields.pop("kind")
     if kind == "soliton":
-        lambda1 = _take(data, "lambda1", float, "initial.")
-        lambda2 = _take(data, "lambda2", float, "initial.") if "lambda2" in data else 0.0
-        x0 = _take(data, "x0", float, "initial.") if "x0" in data else 0.0
-        theta0 = _take(data, "theta0", float, "initial.") if "theta0" in data else 0.0
-        try:
-            spec: InitialSpec = SolitonInitial(lambda1, lambda2, x0, theta0)
-        except ParameterError as err:
-            raise ParameterError(f"initial: {err}") from None
+        spec_type: type = SolitonInitial
+        _take(data, fields, "lambda1", float, "initial.", required=True)
+        _take(data, fields, "lambda2", float, "initial.")
+        _take(data, fields, "x0", float, "initial.")
+        _take(data, fields, "theta0", float, "initial.")
     elif kind == "profile_file":
-        spec = ProfileFileInitial(Path(_take(data, "path", str, "initial.")))
+        spec_type = ProfileFileInitial
+        _take(data, fields, "path", Path, "initial.", required=True)
     elif kind == "petviashvili":
-        lambda1 = _take(data, "lambda1", float, "initial.")
-        lambda2 = _take(data, "lambda2", float, "initial.") if "lambda2" in data else 0.0
-        tol = _take(data, "tol", float, "initial.") if "tol" in data else 1e-12
-        spec = PetviashviliInitial(lambda1, lambda2, tol)
+        spec_type = PetviashviliInitial
+        _take(data, fields, "lambda1", float, "initial.", required=True)
+        _take(data, fields, "lambda2", float, "initial.")
+        _take(data, fields, "tol", float, "initial.")
     else:
-        raise ParameterError(
-            f"initial.kind: expected 'soliton', 'profile_file', or "
-            f"'petviashvili', got {kind!r}"
-        )
+        raise ParameterError(f"initial.kind: expected 'soliton', 'profile_file', "
+                             f"or 'petviashvili', got {kind!r}")
     if data:
-        raise ParameterError(
-            f"initial: unknown key(s) {sorted(data)} for kind {kind!r}"
-        )
-    return spec
+        raise ParameterError(f"initial: unknown key(s) {sorted(data)} for kind {kind!r}")
+    try:
+        return spec_type(**fields)
+    except ParameterError as err:
+        raise ParameterError(f"initial: {err}") from None
 
 
 def load_config(path: Path | str) -> RunConfig:
@@ -205,7 +208,7 @@ def load_config(path: Path | str) -> RunConfig:
     path = Path(path)
     try:
         raw = path.read_text()
-    except OSError as err:
+    except (OSError, ValueError) as err:    # ValueError: not UTF-8, or a NUL byte
         raise ParameterError(f"config: cannot read {path}: {err}") from None
     try:
         data = json.loads(raw)
@@ -213,28 +216,23 @@ def load_config(path: Path | str) -> RunConfig:
         raise ParameterError(f"config: invalid JSON in {path}: {err}") from None
     if not isinstance(data, dict):
         raise ParameterError("config: top-level JSON value must be an object")
-    if "initial" not in data:
-        raise ParameterError("initial: missing required config key")
-
-    config = RunConfig(
-        L=_take(data, "L", float, ""),
-        N=_take(data, "N", None, ""),
-        s=_take(data, "s", float, ""),
-        dt=_take(data, "dt", float, ""),
-        T=_take(data, "T", float, ""),
-        scheme_p=_take(data, "scheme_p", None, ""),
-        initial=_parse_initial(data.pop("initial")),
-        fp_tol=_take(data, "fp_tol", float, "") if "fp_tol" in data else 1e-13,
-        fp_max_iters=_take(data, "fp_max_iters", None, "") if "fp_max_iters" in data else 200,
-        dealias=_take(data, "dealias", None, "") if "dealias" in data else False,
-        invariant_stride=_take(data, "invariant_stride", None, "") if "invariant_stride" in data else 1,
-        snapshot_stride=_take(data, "snapshot_stride", None, "") if "snapshot_stride" in data else 100,
-        output_dir=Path(_take(data, "output_dir", str, "")) if "output_dir" in data else Path("."),
-    )
+    fields: dict[str, Any] = {}
+    _take(data, fields, "L", float, required=True)
+    _take(data, fields, "N", None, required=True)
+    _take(data, fields, "s", float, required=True)
+    _take(data, fields, "dt", float, required=True)
+    _take(data, fields, "T", float, required=True)
+    _take(data, fields, "scheme_p", None, required=True)
+    _take(data, fields, "initial", _parse_initial, required=True)
+    _take(data, fields, "fp_tol", float)
+    _take(data, fields, "fp_max_iters", None)
+    _take(data, fields, "dealias", None)
+    _take(data, fields, "invariant_stride", None)
+    _take(data, fields, "snapshot_stride", None)
+    _take(data, fields, "output_dir", Path)
     if data:
         raise ParameterError(f"config: unknown key(s) {sorted(data)}")
-    config.validate()
-    return config
+    return RunConfig(**fields)
 
 
 # --- snapshot container ------------------------------------------------------
@@ -261,7 +259,7 @@ def read_snapshot(path: Path | str) -> Snapshot:
     path = Path(path)
     try:
         blob = path.read_bytes()
-    except OSError as err:
+    except (OSError, ValueError) as err:    # ValueError: a NUL byte in the path
         raise ParameterError(f"snapshot: cannot read {path}: {err}") from None
     if blob[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
         raise ParameterError(f"snapshot: {path} is not an FNLS1 snapshot file")

@@ -173,6 +173,30 @@ def test_output_dir_that_cannot_be_created(tmp_path, capsys, command):
         assert code == EXIT_CONFIG, err
         assert "output_dir" in err
         assert "Traceback" not in err
+    # argv cannot carry a NUL byte, a config file can
+    config = write_config(tmp_path, {
+        **SIM_CONFIG, "initial": {"kind": "petviashvili", "lambda1": 1.0},
+        "output_dir": "a\u0000b"})
+    code = main([command, "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG, err
+    assert err.startswith("error: output_dir:")
+
+
+def test_undecodable_config_and_nul_path_exit_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'\xff\xfe{"N": 64}')     # not UTF-8
+    for command in ("simulate", "convergence", "profile"):
+        code = main([command, "--config", str(config), "--output", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert err.startswith("error: config:")
+    config = write_config(tmp_path, {
+        **SIM_CONFIG, "initial": {"kind": "profile_file", "path": "a\u0000b"}})
+    code = main(["simulate", "--config", str(config), "--output", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG, err
+    assert err.startswith("error: snapshot:")
 
 
 @pytest.mark.parametrize("command", ["simulate", "convergence", "profile"])

@@ -98,12 +98,14 @@ def test_convergence_study_divergence_carries_partial_rows():
     assert isinstance(err.__cause__, StageDivergenceError)
     back = pickle.loads(pickle.dumps(err))
     assert back.failed_dt == 2.6 and len(back.partial_rows) == 1
+    assert str(back) == str(err)
     # the pool submits the longer 1e-2 row first but reports in dt_list order
     with pytest.raises(ConvergenceStudyError) as info:
         convergence_study(config, [1e-2, 2.6], workers=2)
     assert info.value.failed_dt == 2.6
     assert [row.dt for row in info.value.partial_rows] == [1e-2]
     assert isinstance(info.value.__cause__, StageDivergenceError)
+    assert str(pickle.loads(pickle.dumps(info.value))) == str(info.value)
 
 
 def test_convergence_study_pool_keeps_unsorted_dt_order():
@@ -307,6 +309,11 @@ def test_build_initial_field_profile_file(tmp_path):
                      initial=ProfileFileInitial(path=path))
     grid, field = build_initial_field(good)
     np.testing.assert_array_equal(field.values, vals)
+
+    nul_path = RunConfig(L=np.pi, N=64, s=0.75, dt=1e-2, T=0.1, scheme_p=1,
+                         initial=ProfileFileInitial(path=tmp_path / "a\0b"))
+    with pytest.raises(ParameterError, match="^snapshot:"):
+        build_initial_field(nul_path)
 
     bad_n = RunConfig(L=np.pi, N=128, s=0.75, dt=1e-2, T=0.1, scheme_p=1,
                       initial=ProfileFileInitial(path=path))

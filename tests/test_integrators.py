@@ -116,10 +116,9 @@ def test_exact_step_count_rejects_overflow(small_grid):
     u = smooth_random_field(small_grid, seed=29)
     with pytest.raises(ParameterError):
         evolve(u, math.inf, yoshida_coefficients(1), SolverParams(k=0.1), ModelParams(s=1.0))
-    config = RunConfig(L=np.pi, N=64, s=1.0, dt=0.1, T=math.inf, scheme_p=1,
-                       initial=SolitonInitial(1.0))
     with pytest.raises(ParameterError, match="^dt:"):
-        config.validate()
+        RunConfig(L=np.pi, N=64, s=1.0, dt=0.1, T=math.inf, scheme_p=1,
+                  initial=SolitonInitial(1.0))
 
 
 def test_stage_zero_field_converges_immediately(small_grid):

@@ -62,6 +62,16 @@ def test_load_config_round_trip(tmp_path):
     assert config.initial == SolitonInitial(lambda1=1.0, lambda2=0.25)
     assert config.fp_tol == 1e-13          # defaults
     assert config.snapshot_stride == 100
+    # each default has one home, the dataclass: a minimal file's config is
+    # the one built from the same required values
+    minimal = {**GOOD_CONFIG, "initial": {"kind": "soliton", "lambda1": 1.0}}
+    required = {key: value for key, value in minimal.items() if key != "initial"}
+    assert load_config(write_config(tmp_path, minimal)) == RunConfig(
+        **required, initial=SolitonInitial(lambda1=1.0))
+    for kind, spec_type in (("soliton", SolitonInitial),
+                            ("petviashvili", PetviashviliInitial)):
+        data = {**GOOD_CONFIG, "initial": {"kind": kind, "lambda1": 1.0}}
+        assert load_config(write_config(tmp_path, data)).initial == spec_type(lambda1=1.0)
 
 
 def test_load_config_optional_fields(tmp_path):
@@ -141,27 +151,25 @@ def test_load_config_errors_name_the_field(tmp_path, mutate, needle):
     ("dealias", 1, "dealias"),
 ])
 def test_validate_rejects_mistyped_counts_and_flags(field, value, needle):
-    # configs built in Python skip the JSON parser; validate checks the
-    # types that the parser would have, before any later use of the value
+    # configs built in Python skip the JSON parser; construction checks
+    # the types that the parser would have, before any later use of the value
     config = RunConfig(L=np.pi, N=64, s=0.75, dt=1e-2, T=0.1, scheme_p=2,
                        initial=SolitonInitial(lambda1=1.0))
-    config.validate()
     with pytest.raises(ParameterError, match="^" + needle + ": expected a"):
-        replace(config, **{field: value}).validate()
+        replace(config, **{field: value})
 
 
 def test_validate_accepts_numpy_integers_and_booleans():
     RunConfig(L=np.pi, N=np.int64(64), s=0.75, dt=1e-2, T=0.1,
               scheme_p=np.int32(2), initial=SolitonInitial(lambda1=1.0),
-              fp_max_iters=np.int64(50), dealias=np.bool_(True)).validate()
+              fp_max_iters=np.int64(50), dealias=np.bool_(True))
 
 
 def test_validate_rejects_unaddressable_numpy_N():
     # a numpy integer must not wrap around in the 16 N byte count
-    config = RunConfig(L=np.pi, N=np.int64(2**62), s=0.75, dt=1e-2, T=0.1,
-                       scheme_p=2, initial=SolitonInitial(lambda1=1.0))
     with pytest.raises(ParameterError, match="^N: .* addressable memory"):
-        config.validate()
+        RunConfig(L=np.pi, N=np.int64(2**62), s=0.75, dt=1e-2, T=0.1,
+                  scheme_p=2, initial=SolitonInitial(lambda1=1.0))
 
 
 @pytest.mark.parametrize("value", [2.5, 50.0, True, "50"])
@@ -198,6 +206,11 @@ def test_load_config_malformed_json(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(ParameterError):
         load_config(path)
+    path.write_bytes(b'\xff\xfe{"N": 64}')    # not UTF-8
+    with pytest.raises(ParameterError, match="^config: cannot read"):
+        load_config(path)
+    with pytest.raises(ParameterError, match="^config: cannot read"):
+        load_config(tmp_path / "a\0b")
 
 
 def test_run_config_with_output_dir():
@@ -239,6 +252,9 @@ def test_snapshot_rejects_corruption(tmp_path, small_grid):
     padded.write_bytes(blob + b"\x00")
     with pytest.raises(ParameterError, match="bytes"):
         read_snapshot(padded)
+
+    with pytest.raises(ParameterError, match="^snapshot: cannot read"):
+        read_snapshot(tmp_path / "a\0b")
 
 
 def test_snapshot_writer_observer(tmp_path, small_grid):
