@@ -18,9 +18,11 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import FnlsError, ParameterError, TrackingError
+from .errors import FnlsError, ParameterError, TrackingError, check_count
 from .harness import (
+    ConvergenceRow,
     InvariantRecorder,
+    TrackRecord,
     WaveTracker,
     build_initial_field,
     convergence_study,
@@ -32,11 +34,10 @@ from .io import (
     RunConfig,
     SnapshotWriter,
     load_config,
-    write_convergence_csv,
-    write_invariants_csv,
+    write_csv,
     write_snapshot,
-    write_tracking_csv,
 )
+from .model import InvariantRecord
 from .spectral import SpectralGrid
 from .waves import petviashvili_profile
 
@@ -68,13 +69,13 @@ def cmd_simulate(config: RunConfig) -> int:
                       observers=(invariant_rec, tracker, snapshot_writer))
     wall = time.perf_counter() - start
 
-    write_invariants_csv(out / "invariants.csv", invariant_rec.records)
+    write_csv(out / "invariants.csv", InvariantRecord, invariant_rec.records)
     try:
         track = tracker.records()
     except TrackingError as err:
         print(f"warning: tracking skipped: {err}", file=sys.stderr)
         track = []
-    write_tracking_csv(out / "tracking.csv", track)
+    write_csv(out / "tracking.csv", TrackRecord, track)
 
     print(f"steps:               {stats.steps}")
     print(f"fp iterations:       {stats.fp_iterations} "
@@ -93,10 +94,9 @@ def cmd_convergence(config: RunConfig, dt_list: list[float]) -> int:
             workers = int(env)
         except ValueError:
             raise ParameterError(f"FNLS_THREADS: expected an integer, got {env!r}")
-        if workers < 1:
-            raise ParameterError(f"FNLS_THREADS: must be >= 1, got {workers}")
+        check_count("FNLS_THREADS", workers)
     rows = convergence_study(config, dt_list, workers=workers)
-    write_convergence_csv(out / "convergence.csv", rows)
+    write_csv(out / "convergence.csv", ConvergenceRow, rows)
     print("dt,err_v,rate_v,err_w,rate_w")
     for r in rows:
         rv = "" if r.rate_v is None else f"{r.rate_v:.4f}"
@@ -194,6 +194,14 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_profile(config)
     except ParameterError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as err:
+        # config and snapshot reads report their own failures, so an
+        # OSError naming a file is an output that cannot be written
+        if err.filename is None:
+            raise
+        print(f"error: output_dir: cannot write {str(err.filename)!r}: "
+              f"{err.strerror}", file=sys.stderr)
         return EXIT_CONFIG
     except FnlsError as err:
         print(f"error: {err}", file=sys.stderr)

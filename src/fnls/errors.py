@@ -6,9 +6,17 @@ failure at runtime (exit 3).  Each error passes its constructor arguments
 to Exception and builds its message from its fields, so default pickling
 (a pool worker's failure) replays the constructor and restores the fields
 set later, such as step_index.
+
+check_count and check_positive_finite are the package's two value checks:
+every precondition on a count or a tolerance calls one of them with the
+name of the value, so each message starts with that name.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 
 class FnlsError(Exception):
@@ -20,6 +28,22 @@ class ParameterError(FnlsError, ValueError):
 
     The message names the offending field or inequality.
     """
+
+
+def check_count(name: str, value, lo: int = 1, hi: int | None = None) -> None:
+    """Raise ParameterError unless value is an integer in [lo, hi] (no upper
+    bound if hi is None); numpy integers pass, booleans do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name}: expected an integer, got {value!r}")
+    if not lo <= value <= (math.inf if hi is None else hi):
+        bound = f"be >= {lo}" if hi is None else f"lie in [{lo}, {hi}]"
+        raise ParameterError(f"{name}: must {bound}, got {value!r}")
+
+
+def check_positive_finite(name: str, value) -> None:
+    """Raise ParameterError unless 0 < value < inf."""
+    if not 0 < value < math.inf:
+        raise ParameterError(f"{name}: must be positive and finite, got {value!r}")
 
 
 class StageDivergenceError(FnlsError, RuntimeError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceStudyError, ParameterError, TrackingError
+from .errors import ConvergenceStudyError, ParameterError, TrackingError, check_count
 from .integrators import evolve, exact_step_count
 from .io import PetviashviliInitial, ProfileFileInitial, RunConfig, read_snapshot
 from .model import InvariantRecord, ModelParams, invariants
@@ -201,6 +201,8 @@ def convergence_study(config: RunConfig, dt_list: list[float],
     study; the rows before it in dt_list ride along on the raised
     ConvergenceStudyError.
     """
+    if workers is not None:
+        check_count("workers", workers)
     if not dt_list:
         raise ParameterError("dt_list must not be empty")
     for dt in dt_list:
@@ -212,8 +214,7 @@ def convergence_study(config: RunConfig, dt_list: list[float],
     soliton = _require_soliton_initial(config)
     grid, u0 = build_initial_field(config)
     reference = nls_soliton(grid, config.T, soliton)
-    n_workers = len(dt_list) if workers is None else workers
-    n_workers = max(1, min(n_workers, len(dt_list)))
+    n_workers = len(dt_list) if workers is None else min(workers, len(dt_list))
 
     errors: list[tuple[float, float]] = []
     if n_workers == 1:

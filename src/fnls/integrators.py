@@ -1,105 +1,34 @@
 """Symmetric composition time integrators for the semidiscrete system.
 
 One step of length k chains q implicit midpoint substeps of lengths
-b_1 k, ..., b_q k:
+b_j k, Y_j = Y_{j-1} + k b_j F((Y_j + Y_{j-1}) / 2), with Yoshida's
+triple-jump coefficients: order 2p with q = 3^(p-1) stages.  Each stage
+solves for its midpoint X by the mean-field preconditioned fixed point
 
-    Y_0 = U_n;  Y_j = Y_{j-1} + k b_j F((Y_j + Y_{j-1}) / 2);  U_{n+1} = Y_q.
+    X_{n+1} = A^{-1} (Y_{j-1} + i (k b_j / 2) P((|X_n|^2 - c) X_n)),
+    A = I + i (k b_j / 2) ((-d_xx)^s - c P),   c = 2 mean|u_0|^2,
 
-The coefficients come from Yoshida's triple-jump recursion, giving order
-2p with q = 3^(p-1) stages.  Each implicit stage is solved by the
-mean-field preconditioned fixed-point iteration
+with A inverted mode by mode and Y_j = 2 X* - Y_{j-1}; P is the dealiasing
+mask or 1, and c = 0 for the linear model.  In Fourier space the map is
+Z_{n+1} = base + gain_j fft((|X_n|^2 - c) X_n), with Z = 2 fft(X),
+base = pre_j fft(Y_{j-1}), pre_j = 2 A^{-1} and gain_j = i (k b_j / 2)
+pre_j P.  From step 5 on, stage j starts from Z_0 = base + g~, where the
+nonlinear part g = Z* - base is extrapolated from its values g_i in step
+n - i, in each mode's rotation w = sign(g_1 conj(g_2)) (sign(0) = 0):
 
-    X_{n+1} = A^{-1} ( Y_prev + i (k b_j / 2) P((|X_n|^2 - c) X_n) ),
-    A = I + i (k b_j / 2) ((-d_xx)^s - c P),
+    g~ = 3 w g_1 - 3 w^2 g_2 + w^3 g_3.
 
-with A inverted exactly mode by mode, and X* the midpoint so that
-Y_next = 2 X* - Y_prev.  P is the dealiasing mask, or 1 without
-dealiasing.  Moving c P X from the right-hand side into A leaves the
-fixed point unchanged and only changes the path to it: the shift takes
-the mean of the cubic term's linearization, 2 |X|^2, into the
-preconditioner, so the map contracts faster on fields that are not
-localized.  c = 2 mean|u|^2 = 2 ||fft(u)||^2 / N^2 is taken once, by
-Parseval, from the state the _StepContext starts from (the discrete mass
-is conserved); c = 0 for the linear model.  In Fourier space the map is
-two diagonal multipliers per stage, pre_j = 2 A^{-1} and
-gain_j = i (k b_j / 2) pre_j P (gain_j = 0 for the linear model):
+Sweep n >= 2 stops when ||Z_n - Z_{n-1}|| <= fp_tol ||Z_n||, the first
+sweep when eta_j ||Z_1 - Z_0|| <= fp_tol ||Z_1||, with
+eta_j = max(0.01, theta / (1 - theta)) for the largest contraction ratio
+theta of stage j's last solve of two or more sweeps (eta_j = 1 before
+one, and when theta >= 1/2).  README "Solver" gives the rationale and
+the measurements.
 
-    Z_{n+1} = gain_j F_n + base,   F_n = fft((|X_n|^2 - c) X_n),
-    base = pre_j fft(Y_prev),      X_{n+1} = ifft(Z_{n+1}) / (2 N),
-
-so Z = 2 fft(X) is the coefficient vector of X scaled by 2, and the
-inverse transform applies the normalization 1 / (2 N) (exact when N is a
-power of two).  The cubic term is formed in complex arithmetic as
-(conj(X) X - c) X, with no modulus and no real-to-complex cast.  base is
-formed once per stage, and each iteration is one shifted cubic term, one
-FFT pair and one multiply-add.  One kernel, _stage_solve, solves every
-stage, and one driver, evolve, chains them (step is a one-step evolve).
-The kernel writes into work buffers that its _StepContext allocates once,
-and fft(Y_next) into an array evolve provides, so a run allocates nothing
-per stage or step.
-Every transform here calls numpy's pocketfft gufuncs directly (spectral.fft
-and spectral.ifft), skipping the np.fft wrapper's per-call argument
-handling.
-
-The state is carried between stages and steps as Fourier coefficients
-only.  The stopping test (below) is applied to Z, which by Parseval is the
-same as testing X (||X|| = ||Z|| / (2 sqrt(N))), so the converged stage
-is returned as fft(Y_next) = Z - fft(Y_prev) without an inverse
-transform.  A stage of n iterations costs 2n transforms: the inverse
-transform of its starting iterate, then n forward and n - 1 inverse ones.
-Physical values are formed only where something reads them: for
-observers, and for the returned Field.
-
-Steps 1 to 4 start every stage from X_0 = Y_prev.  From step 5 on, stage
-j of step n starts from a predicted midpoint instead, the standard starting
-approximation for implicit symplectic Runge-Kutta methods (Hairer,
-Lubich & Wanner, Geometric Numerical Integration, VIII.6).  The converged
-midpoint splits exactly as Z* = base + g: base = pre_j fft(Y_prev) is the
-linear part, which the kernel already forms exactly, and g = gain_j F the
-nonlinear part, the split that integrating-factor methods use (Hochbruck
-& Ostermann, "Exponential integrators", Acta Numerica 2010).  So only g
-is predicted, and g, with the error of its prediction, carries the factor
-gain_j, |gain_j| <= k |b_j|.  The kernel writes each iterate's gain_j F
-straight into the array that holds g, and adds base to it from there, so
-the converged stage leaves its g in place.  evolve keeps each stage's
-g_{j,m} of the last three steps and, from step 5 on, starts from
-
-    Z_0 = base + sum_{i=1..3} c_i w_j^i g_{j,n-i},
-    c = (3, -3, 1),  w_j = sign(g_{j,n-1} conj(g_{j,n-2})),
-
-a quadratic extrapolation in the frame of w_j, the rotation of each mode
-of stage j's nonlinear part over the last step.  sign(z) = z / |z|, and
-0 where z = 0, so a mode whose nonlinear part is exactly 0 starts at
-base, not at 0/0.  Under the linear flow every g is exactly 0 and each
-start is the fixed point.  A traveling wave Phi(x - lambda2 t)
-e^{i lambda1 t} turns its modes by e^{i (lambda1 - kappa lambda2) k} per
-step, which w_j measures to the scheme's local error.  The rotations and
-predicted parts of all q stages are built once per step on (q, N) arrays,
-in the slots of the oldest parts, which the converged stages overwrite
-next.  Only the starting iterate changes: the fixed-point map is the
-same, so the converged stages agree to the stopping tolerance.  A run of
-at most four steps predicts nothing, builds no predictor, and its stages
-share one N-sized array for g.
-
-The stopping test has two parts.  Sweep n >= 2 stops when
-||Z_n - Z_{n-1}|| <= fp_tol ||Z_n||.  The first sweep of stage j stops
-when eta_j ||Z_1 - Z_0|| <= fp_tol ||Z_1||: if the map contracts by theta
-per sweep, Z_1 lies within theta / (1 - theta) ||Z_1 - Z_0|| of the fixed
-point, the stopping estimate of implicit Runge-Kutta stage iterations
-(Hairer & Wanner, Solving ODEs II, IV.8).  eta_j = max(0.01,
-theta / (1 - theta)), where theta is the largest ratio
-||dZ_n|| / ||dZ_{n-1}|| of stage j's last solve of two or more sweeps.
-eta_j is 1 before any such solve and whenever theta >= 1/2, and its floor
-means a first increment above 100 fp_tol is never accepted.  A fresh
-context starts at eta = 1, so step keeps the plain test on every sweep.
-A stage that needs several sweeps starts too far from its fixed point to
-pass the weighted first test, so its iterates are unchanged; a predicted
-start within about 100 fp_tol of the fixed point saves a sweep.  The
-estimate is kept off the later sweeps: there it moves where the last
-iterate stops, and with it criterion 04's invariant drift.  evolve counts
-each stage's exact iterations (RunStats.stage_iterations) and reports the
-largest theta measured (RunStats.max_contraction); a stage that does not
-converge raises StageDivergenceError.
+References: Hairer, Lubich & Wanner, Geometric Numerical Integration,
+II.4 and VIII.6 (compositions, starting approximations); Hairer & Wanner,
+Solving ODEs II, IV.8 (stopping estimate); Hochbruck & Ostermann,
+"Exponential integrators", Acta Numerica 2010 (the split Z* = base + g).
 """
 
 from __future__ import annotations
@@ -109,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, StageDivergenceError
+from .errors import (ParameterError, StageDivergenceError, check_count,
+                     check_positive_finite)
 from .model import ModelParams
 from .spectral import Field, SpectralGrid, fft, ifft
 
@@ -159,11 +89,7 @@ def yoshida_coefficients(p: int) -> CompositionScheme:
     w1 = 1 / (2 - 2^(1/(2p-1))) and w0 = 1 - 2 w1, tripling the stage
     count and raising the order by two.
     """
-    if not isinstance(p, (int, np.integer)) or not 1 <= p <= MAX_COMPOSITION_LEVEL:
-        raise ParameterError(
-            f"composition level p must be an integer in [1, {MAX_COMPOSITION_LEVEL}], "
-            f"got {p!r}"
-        )
+    check_count("composition level p", p, 1, MAX_COMPOSITION_LEVEL)
     b = [1.0]
     for level in range(2, p + 1):
         w1 = 1.0 / (2.0 - 2.0 ** (1.0 / (2 * level - 1)))
@@ -191,16 +117,9 @@ class SolverParams:
 
     def __post_init__(self):
         if self.k == 0.0 or not math.isfinite(self.k):
-            raise ParameterError(f"time step k must be nonzero and finite, got {self.k!r}")
-        if not 0.0 < self.fp_tol < math.inf:
-            raise ParameterError(
-                f"fp_tol must be positive and finite, got {self.fp_tol!r}")
-        if (isinstance(self.fp_max_iters, bool)
-                or not isinstance(self.fp_max_iters, (int, np.integer))
-                or self.fp_max_iters < 1):
-            raise ParameterError(
-                f"fp_max_iters must be an integer >= 1, got {self.fp_max_iters!r}"
-            )
+            raise ParameterError(f"k: must be nonzero and finite, got {self.k!r}")
+        check_positive_finite("fp_tol", self.fp_tol)
+        check_count("fp_max_iters", self.fp_max_iters)
 
 
 @dataclass
@@ -417,11 +336,7 @@ def evolve(U0: Field, T: float, scheme: CompositionScheme, sp: SolverParams,
     grid = U0.grid
     strides = [getattr(obs, "stride", 1) for obs in observers]
     for stride in strides:
-        if (isinstance(stride, bool) or not isinstance(stride, (int, np.integer))
-                or stride < 1):
-            raise ParameterError(
-                f"observer stride must be a positive integer, got {stride!r}"
-            )
+        check_count("observer stride", stride)
 
     N = grid.N
     u_hat = fft(U0.values, 1.0, out=np.empty(N, dtype=complex))

@@ -15,18 +15,18 @@ from __future__ import annotations
 import json
 import math
 import struct
-import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Union
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_count, check_positive_finite
 from .integrators import (MAX_COMPOSITION_LEVEL, CompositionScheme, SolverParams,
                           exact_step_count, yoshida_coefficients)
 from .model import ModelParams
-from .spectral import Field, SpectralGrid
+from .spectral import Field, SpectralGrid, check_grid, check_s
 from .waves import SolitonParams as SolitonInitial
 
 __all__ = [
@@ -41,10 +41,7 @@ __all__ = [
     "read_snapshot",
     "SnapshotWriter",
     "format_float",
-    "write_invariants_csv",
-    "write_tracking_csv",
-    "write_convergence_csv",
-    "write_errorgrowth_csv",
+    "write_csv",
 ]
 
 SNAPSHOT_MAGIC = b"FNLS1"
@@ -85,24 +82,13 @@ class RunConfig:
     output_dir: Path = Path(".")
 
     def __post_init__(self) -> None:
-        # A RunConfig that exists is valid: check every field against its
-        # operation preconditions, raising ParameterError naming the field.
-        for name in ("N", "scheme_p", "fp_max_iters", "invariant_stride",
-                     "snapshot_stride"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ParameterError(f"{name}: expected an integer, got {value!r}")
+        # A RunConfig that exists is valid: each field goes through the check
+        # of the component that takes it, under the field's name, without
+        # building the grid, model or solver.
+        check_grid(self.N, self.L)
+        check_s(self.s)
         if not isinstance(self.dealias, (bool, np.bool_)):
             raise ParameterError(f"dealias: expected a boolean, got {self.dealias!r}")
-        if self.N < 4 or self.N % 2:
-            raise ParameterError(f"N: must be an even integer >= 4, got {self.N!r}")
-        if 16 * int(self.N) > sys.maxsize:
-            raise ParameterError(
-                f"N: {self.N!r} complex values exceed the addressable memory")
-        if not 0 < self.L < math.inf:
-            raise ParameterError(f"L: must be positive and finite, got {self.L!r}")
-        if not 0.0 < self.s <= 1.0:
-            raise ParameterError(f"s: must lie in (0, 1], got {self.s!r}")
         if not self.dt > 0:
             raise ParameterError(f"dt: must be positive, got {self.dt!r}")
         if not self.T > 0:
@@ -111,27 +97,13 @@ class RunConfig:
             exact_step_count(self.T, self.dt)
         except ParameterError as err:
             raise ParameterError(f"dt: {err}") from None
-        if not 1 <= self.scheme_p <= MAX_COMPOSITION_LEVEL:
-            raise ParameterError(
-                f"scheme_p: must lie in [1, {MAX_COMPOSITION_LEVEL}], got {self.scheme_p!r}"
-            )
-        if not 0 < self.fp_tol < math.inf:
-            raise ParameterError(
-                f"fp_tol: must be positive and finite, got {self.fp_tol!r}")
-        if self.fp_max_iters < 1:
-            raise ParameterError(f"fp_max_iters: must be >= 1, got {self.fp_max_iters!r}")
-        if self.invariant_stride < 1:
-            raise ParameterError(
-                f"invariant_stride: must be >= 1, got {self.invariant_stride!r}"
-            )
-        if self.snapshot_stride < 1:
-            raise ParameterError(
-                f"snapshot_stride: must be >= 1, got {self.snapshot_stride!r}"
-            )
-        init = self.initial
-        if isinstance(init, PetviashviliInitial) and not 0 < init.tol < math.inf:
-            raise ParameterError(
-                f"initial.tol: must be positive and finite, got {init.tol!r}")
+        check_count("scheme_p", self.scheme_p, 1, MAX_COMPOSITION_LEVEL)
+        check_positive_finite("fp_tol", self.fp_tol)
+        check_count("fp_max_iters", self.fp_max_iters)
+        check_count("invariant_stride", self.invariant_stride)
+        check_count("snapshot_stride", self.snapshot_stride)
+        if isinstance(self.initial, PetviashviliInitial):
+            check_positive_finite("initial.tol", self.initial.tol)
 
     def problem(self, dt: float | None = None) -> tuple[CompositionScheme,
                                                         SolverParams, ModelParams]:
@@ -274,8 +246,12 @@ def read_snapshot(path: Path | str) -> Snapshot:
         raise ParameterError(
             f"snapshot: {path} has {len(blob)} bytes, expected {expected} for N = {N}"
         )
+    try:
+        grid = SpectralGrid(N, L)
+    except ParameterError as err:
+        raise ParameterError(f"snapshot: {path}: {err}") from None
     values = np.frombuffer(blob, dtype="<c16", count=N, offset=offset).copy()
-    return Snapshot(field=Field(values, SpectralGrid(N, L)), s=s, t=t)
+    return Snapshot(field=Field(values, grid), s=s, t=t)
 
 
 class SnapshotWriter:
@@ -300,27 +276,13 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_csv(path: Path | str, header: str, rows: Iterable[Iterable[Any]]) -> None:
+def write_csv(path: Path | str, record_type: type, records: Iterable[Any]) -> None:
+    """Write records of the dataclass record_type, one row each, under a
+    header of its field names; None is written as an empty cell."""
+    names = [f.name for f in fields(record_type)]
+    row = attrgetter(*names)    # a tuple: every record type has several fields
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join("" if v is None else format_float(v) for v in row))
+        fh.write(",".join(names) + "\n")
+        for record in records:
+            fh.write(",".join("" if v is None else format_float(v) for v in row(record)))
             fh.write("\n")
-
-
-def write_invariants_csv(path: Path | str, records) -> None:
-    _write_csv(path, "t,I1,I2,H", ((r.t, r.I1, r.I2, r.H) for r in records))
-
-
-def write_tracking_csv(path: Path | str, records) -> None:
-    _write_csv(path, "t,amplitude,peak_x,speed",
-               ((r.t, r.amplitude, r.peak_x, r.speed) for r in records))
-
-
-def write_convergence_csv(path: Path | str, rows) -> None:
-    _write_csv(path, "dt,err_v,rate_v,err_w,rate_w",
-               ((r.dt, r.err_v, r.rate_v, r.err_w, r.rate_w) for r in rows))
-
-
-def write_errorgrowth_csv(path: Path | str, series) -> None:
-    _write_csv(path, "t,err_v,err_w", ((p.t, p.err_v, p.err_w) for p in series))

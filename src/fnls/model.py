@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .spectral import Field, SpectralGrid, dealias, fractional_laplacian
+from .spectral import Field, SpectralGrid, check_s, dealias, fractional_laplacian
 
 __all__ = [
     "ModelParams",
@@ -47,8 +47,7 @@ class ModelParams:
     linear: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.s <= 1.0:
-            raise ParameterError(f"s must lie in (0, 1], got {self.s!r}")
+        check_s(self.s)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 from numpy.fft import _pocketfft_umath
 
-from .errors import ParameterError
+from .errors import ParameterError, check_count, check_positive_finite
 
 __all__ = [
     "SpectralGrid",
@@ -42,7 +42,7 @@ __all__ = [
 
 # numpy's pocketfft gufuncs, called without the np.fft wrapper, whose
 # argument handling adds about 4 us per call: as much as the transform
-# itself at N = 128 (see the integrators module docstring).
+# itself at N = 128 (measured in README "Solver").
 # fft(a, fct, out=out) writes fct * sum_j a_j e^{-2 pi i j m / N} along the
 # last axis of a, and ifft the same with e^{+2 pi i j m / N}; stacks of
 # shape (B, N) are transformed row by row.  out is required: the gufunc
@@ -50,6 +50,23 @@ __all__ = [
 # is ifft(a, 1 / N) and np.fft.ifft(a, norm="forward") is ifft(a, 1.0).
 fft = _pocketfft_umath.fft
 ifft = _pocketfft_umath.ifft
+
+
+def check_grid(N, L) -> None:
+    """SpectralGrid's preconditions on N and L, raised as ParameterError
+    naming the value; N must also leave 16 N bytes addressable."""
+    check_count("N", N, lo=4)
+    if N % 2:
+        raise ParameterError(f"N: must be an even integer >= 4, got {N!r}")
+    if 16 * int(N) > sys.maxsize:
+        raise ParameterError(f"N: {N!r} complex values exceed the addressable memory")
+    check_positive_finite("L", L)
+
+
+def check_s(s) -> None:
+    """Raise ParameterError unless the fractional order s lies in (0, 1]."""
+    if not 0.0 < s <= 1.0:
+        raise ParameterError(f"s: must lie in (0, 1], got {s!r}")
 
 
 @dataclass(frozen=True)
@@ -66,13 +83,7 @@ class SpectralGrid:
     L: float
 
     def __post_init__(self):
-        if not isinstance(self.N, (int, np.integer)) or self.N < 4 or self.N % 2:
-            raise ParameterError(f"N must be an even integer >= 4, got {self.N!r}")
-        if 16 * int(self.N) > sys.maxsize:
-            raise ParameterError(
-                f"N = {self.N!r} complex values exceed the addressable memory")
-        if not 0 < self.L < np.inf:
-            raise ParameterError(f"L must be positive and finite, got {self.L!r}")
+        check_grid(self.N, self.L)
         object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "L", float(self.L))
 
@@ -131,6 +142,14 @@ class SpectralGrid:
         return sym
 
 
+def _grid_array(name: str, values, grid: SpectralGrid) -> np.ndarray:
+    # the complex array of a Field or Coefficients, one entry per grid point
+    array = np.asarray(values, dtype=np.complex128)
+    if array.shape != (grid.N,):
+        raise ParameterError(f"{name}: must have shape ({grid.N},), got {array.shape}")
+    return array
+
+
 @dataclass(frozen=True)
 class Field:
     """Complex nodal values of a 2L-periodic function on a SpectralGrid."""
@@ -139,12 +158,7 @@ class Field:
     grid: SpectralGrid
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.grid.N,):
-            raise ParameterError(
-                f"Field values must have shape ({self.grid.N},), got {vals.shape}"
-            )
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _grid_array("values", self.values, self.grid))
 
 
 @dataclass(frozen=True)
@@ -155,12 +169,7 @@ class Coefficients:
     grid: SpectralGrid
 
     def __post_init__(self):
-        modes = np.asarray(self.modes, dtype=np.complex128)
-        if modes.shape != (self.grid.N,):
-            raise ParameterError(
-                f"Coefficients must have shape ({self.grid.N},), got {modes.shape}"
-            )
-        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "modes", _grid_array("modes", self.modes, self.grid))
 
 
 def forward_transform(f: Field) -> Coefficients:
@@ -186,8 +195,7 @@ def fractional_laplacian(f: Field, s: float) -> Field:
     The zero mode is annihilated; the Nyquist mode is kept (the symbol is
     even, so no conjugate partner is needed).
     """
-    if not 0.0 < s <= 1.0:
-        raise ParameterError(f"s must lie in (0, 1], got {s!r}")
+    check_s(s)
     return _apply_symbol(f, f.grid.fractional_symbol(s))
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ProfileDivergenceError
+from .errors import (ParameterError, ProfileDivergenceError, check_count,
+                     check_positive_finite)
 from .spectral import Field, SpectralGrid, derivative, fractional_laplacian
 
 __all__ = [
@@ -126,11 +127,8 @@ def petviashvili_profile(grid: SpectralGrid, s: float, lambda1: float,
     """
     if not 0.5 < s <= 1.0:
         raise ParameterError(f"petviashvili_profile requires s in (1/2, 1], got {s!r}")
-    if not 0.0 < tol < np.inf:
-        raise ParameterError(f"tol must be positive and finite, got {tol!r}")
-    if (isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer))
-            or max_iters < 1):
-        raise ParameterError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+    check_positive_finite("tol", tol)
+    check_count("max_iters", max_iters)
     ell = _profile_symbol(grid, s, lambda1, lambda2)
     if np.min(ell) <= 0.0:
         raise ParameterError(

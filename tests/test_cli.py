@@ -161,8 +161,25 @@ def test_simulate_missing_config_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+# output files of each command, in the order it writes them
+OUTPUT_FILES = {"simulate": ["snapshot_00000000.bin", "invariants.csv"],
+                "convergence": ["convergence.csv"], "profile": ["profile.bin"]}
+
+
 @pytest.mark.parametrize("command", ["simulate", "convergence", "profile"])
 def test_output_dir_that_cannot_be_created(tmp_path, capsys, command):
+    # a directory where an output file should go: the file cannot be written
+    initial = ({"kind": "petviashvili", "lambda1": 1.0} if command == "profile"
+               else SIM_CONFIG["initial"])
+    config = write_config(tmp_path, {**SIM_CONFIG, "initial": initial})
+    for name in OUTPUT_FILES[command]:
+        output = tmp_path / f"out_{name}"
+        (output / name).mkdir(parents=True)
+        code = main([command, "--config", str(config), "--output", str(output)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert err.startswith("error: output_dir:") and name in err, err
+        assert "Traceback" not in err
     config = write_config(tmp_path, {
         **SIM_CONFIG, "initial": {"kind": "petviashvili", "lambda1": 1.0}})
     blocker = tmp_path / "taken"

@@ -87,6 +87,13 @@ def test_convergence_study_input_validation():
         convergence_study(config, [1e-2])
 
 
+@pytest.mark.parametrize("workers", [0, -1, 2.5, True])
+def test_convergence_study_rejects_bad_workers(workers):
+    # the check FNLS_THREADS gets; workers=None means one worker per row
+    with pytest.raises(ParameterError, match="^workers: "):
+        convergence_study(desk_config(), [1e-2], workers=workers)
+
+
 def test_convergence_study_divergence_carries_partial_rows():
     config = desk_config(T=5.2, dt=1e-2, fp_max_iters=60)
     with pytest.raises(ConvergenceStudyError) as info:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,14 +25,7 @@ from fnls import (
     yoshida_coefficients,
     SolverParams,
 )
-from fnls.io import (
-    SnapshotWriter,
-    format_float,
-    write_convergence_csv,
-    write_errorgrowth_csv,
-    write_invariants_csv,
-    write_tracking_csv,
-)
+from fnls.io import SnapshotWriter, format_float, write_csv
 from fnls.harness import ConvergenceRow, ErrorPoint, TrackRecord
 from fnls.model import InvariantRecord
 from conftest import smooth_random_field
@@ -172,6 +166,26 @@ def test_validate_rejects_unaddressable_numpy_N():
                   scheme_p=2, initial=SolitonInitial(lambda1=1.0))
 
 
+@pytest.mark.parametrize("build,field,value", [
+    (lambda v: SpectralGrid(v, np.pi), "N", 3),
+    (lambda v: SpectralGrid(64, v), "L", math.inf),
+    (lambda v: ModelParams(s=v), "s", 1.5),
+    (lambda v: SolverParams(1e-2, fp_tol=v), "fp_tol", math.inf),
+    (lambda v: SolverParams(1e-2, fp_max_iters=v), "fp_max_iters", 2.5),
+], ids=["N", "L", "s", "fp_tol", "fp_max_iters"])
+def test_component_and_config_give_one_message(build, field, value):
+    # each fact has one check: the component that takes a value and the
+    # RunConfig field that feeds it reject the same bad value in one wording
+    config = RunConfig(L=np.pi, N=64, s=0.75, dt=1e-2, T=0.1, scheme_p=2,
+                       initial=SolitonInitial(lambda1=1.0))
+    with pytest.raises(ParameterError) as component:
+        build(value)
+    with pytest.raises(ParameterError) as from_config:
+        replace(config, **{field: value})
+    assert str(component.value) == str(from_config.value)
+    assert str(component.value).startswith(f"{field}: ")
+
+
 @pytest.mark.parametrize("value", [2.5, 50.0, True, "50"])
 def test_solver_params_rejects_non_integer_iteration_cap(value):
     with pytest.raises(ParameterError, match="fp_max_iters"):
@@ -256,6 +270,14 @@ def test_snapshot_rejects_corruption(tmp_path, small_grid):
     with pytest.raises(ParameterError, match="^snapshot: cannot read"):
         read_snapshot(tmp_path / "a\0b")
 
+    # a header the grid rejects is the snapshot's fault, not the config's
+    for N, L, name in ((3, small_grid.L, "N"), (small_grid.N, math.nan, "L")):
+        bad_header = tmp_path / "header.bin"
+        bad_header.write_bytes(blob[:5] + struct.pack("<Iddd", N, L, 1.0, 0.0)
+                               + bytes(16 * N))
+        with pytest.raises(ParameterError, match=f"^snapshot: .*header.bin: {name}: "):
+            read_snapshot(bad_header)
+
 
 def test_snapshot_writer_observer(tmp_path, small_grid):
     mp = ModelParams(s=1.0)
@@ -280,7 +302,7 @@ def test_invariants_csv(tmp_path):
     path = tmp_path / "invariants.csv"
     records = [InvariantRecord(t=0.0, I1=2.0, I2=-0.25, H=1.0 / 3.0),
                InvariantRecord(t=0.1, I1=2.0 + 1e-16, I2=-0.25, H=1.0 / 3.0)]
-    write_invariants_csv(path, records)
+    write_csv(path, InvariantRecord, records)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,I1,I2,H"
     assert len(lines) == 3
@@ -292,7 +314,7 @@ def test_tracking_csv_none_becomes_empty(tmp_path):
     path = tmp_path / "tracking.csv"
     records = [TrackRecord(t=0.0, amplitude=1.4, peak_x=0.0, speed=None),
                TrackRecord(t=0.5, amplitude=1.4, peak_x=0.125, speed=0.25)]
-    write_tracking_csv(path, records)
+    write_csv(path, TrackRecord, records)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,amplitude,peak_x,speed"
     assert lines[1].endswith(",")
@@ -304,7 +326,7 @@ def test_convergence_csv(tmp_path):
     path = tmp_path / "convergence.csv"
     rows = [ConvergenceRow(dt=2.5e-2, err_v=1.2e-5, rate_v=None, err_w=2.4e-5, rate_w=None),
             ConvergenceRow(dt=1.25e-2, err_v=7.5e-7, rate_v=4.0, err_w=1.5e-6, rate_w=4.0)]
-    write_convergence_csv(path, rows)
+    write_csv(path, ConvergenceRow, rows)
     lines = path.read_text().splitlines()
     assert lines[0] == "dt,err_v,rate_v,err_w,rate_w"
     first = lines[1].split(",")
@@ -314,7 +336,7 @@ def test_convergence_csv(tmp_path):
 
 def test_errorgrowth_csv(tmp_path):
     path = tmp_path / "errors.csv"
-    write_errorgrowth_csv(path, [ErrorPoint(t=5.0, err_v=1e-7, err_w=2e-7)])
+    write_csv(path, ErrorPoint, [ErrorPoint(t=5.0, err_v=1e-7, err_w=2e-7)])
     lines = path.read_text().splitlines()
     assert lines[0] == "t,err_v,err_w"
     assert [float(v) for v in lines[1].split(",")] == [5.0, 1e-7, 2e-7]
