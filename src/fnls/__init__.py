@@ -5,84 +5,19 @@
 with symmetric implicit-midpoint composition time integrators, reference
 traveling waves, and an experiment harness for convergence, conservation,
 and wave-tracking studies.
+
+The package exports exactly the names in its modules' ``__all__`` lists.
 """
 
-from .errors import (
-    ConvergenceStudyError,
-    FnlsError,
-    ParameterError,
-    ProfileDivergenceError,
-    StageDivergenceError,
-    TrackingError,
-)
-from .harness import (
-    ConvergenceRow,
-    ErrorGrowthResult,
-    ErrorPoint,
-    FieldRecorder,
-    InvariantDriftResult,
-    InvariantRecorder,
-    TrackRecord,
-    WaveTracker,
-    build_initial_field,
-    component_errors,
-    convergence_study,
-    error_growth_study,
-    invariant_drift_study,
-    wave_tracking,
-)
-from .integrators import (
-    CompositionScheme,
-    RunStats,
-    SolverParams,
-    evolve,
-    exact_step_count,
-    imr_stage_solve,
-    step,
-    yoshida_coefficients,
-)
-from .io import (
-    PetviashviliInitial,
-    ProfileFileInitial,
-    RunConfig,
-    Snapshot,
-    SnapshotWriter,
-    SolitonInitial,
-    load_config,
-    read_snapshot,
-    write_snapshot,
-)
-from .model import (
-    HsBoundDiagnostic,
-    InvariantRecord,
-    ModelParams,
-    hamiltonian,
-    hs_bound_diagnostic,
-    invariants,
-    mass,
-    momentum,
-    nonlinearity,
-    rhs,
-)
-from .spectral import (
-    Coefficients,
-    Field,
-    SpectralGrid,
-    dealias,
-    derivative,
-    forward_transform,
-    fractional_laplacian,
-    hs_norm,
-    inverse_transform,
-    l2_norm,
-    linf_norm,
-)
-from .waves import (
-    ProfileResult,
-    SolitonParams,
-    nls_soliton,
-    petviashvili_profile,
-    residual_operator,
-)
+from .errors import *
+from .spectral import *
+from .model import *
+from .integrators import *
+from .waves import *
+from .io import *
+from .harness import *
+
+__all__ = (errors.__all__ + spectral.__all__ + model.__all__ + integrators.__all__
+           + waves.__all__ + io.__all__ + harness.__all__)
 
 __version__ = "0.1.0"

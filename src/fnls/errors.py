@@ -18,6 +18,15 @@ import math
 
 import numpy as np
 
+__all__ = [
+    "FnlsError",
+    "ParameterError",
+    "StageDivergenceError",
+    "ProfileDivergenceError",
+    "TrackingError",
+    "ConvergenceStudyError",
+]
+
 
 class FnlsError(Exception):
     """Base class for all package-specific errors."""

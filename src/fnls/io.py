@@ -27,7 +27,7 @@ from .integrators import (MAX_COMPOSITION_LEVEL, CompositionScheme, SolverParams
                           exact_step_count, yoshida_coefficients)
 from .model import ModelParams
 from .spectral import Field, SpectralGrid, check_grid, check_s
-from .waves import SolitonParams as SolitonInitial
+from .waves import PROFILE_TOL, SolitonParams as SolitonInitial
 
 __all__ = [
     "SolitonInitial",
@@ -57,7 +57,7 @@ class ProfileFileInitial:
 class PetviashviliInitial:
     lambda1: float
     lambda2: float = 0.0
-    tol: float = 1e-12
+    tol: float = PROFILE_TOL
 
 
 InitialSpec = Union[SolitonInitial, ProfileFileInitial, PetviashviliInitial]
@@ -74,9 +74,9 @@ class RunConfig:
     T: float
     scheme_p: int
     initial: InitialSpec
-    fp_tol: float = 1e-13
-    fp_max_iters: int = 200
-    dealias: bool = False
+    fp_tol: float = SolverParams.fp_tol
+    fp_max_iters: int = SolverParams.fp_max_iters
+    dealias: bool = ModelParams.dealias
     invariant_stride: int = 1
     snapshot_stride: int = 100
     output_dir: Path = Path(".")
@@ -103,6 +103,7 @@ class RunConfig:
         check_count("invariant_stride", self.invariant_stride)
         check_count("snapshot_stride", self.snapshot_stride)
         if isinstance(self.initial, PetviashviliInitial):
+            check_s(self.s, lo=0.5)
             check_positive_finite("initial.tol", self.initial.tol)
 
     def problem(self, dt: float | None = None) -> tuple[CompositionScheme,

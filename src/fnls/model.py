@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
 from .spectral import Field, SpectralGrid, check_s, dealias, fractional_laplacian
 
 __all__ = [
@@ -145,8 +144,7 @@ def hs_bound_diagnostic(u0: Field, p: ModelParams) -> HsBoundDiagnostic:
     solution exists provided C_star = 1 - C_inf^2 I1 >= 0 and
     I1/2 + H >= 0; ``satisfied`` reports exactly those two hypotheses.
     """
-    if not p.s > 0.5:
-        raise ParameterError(f"hs_bound_diagnostic requires s > 1/2, got {p.s!r}")
+    check_s(p.s, lo=0.5)
     k = np.abs(u0.grid.wavenumbers.astype(np.float64))
     c_inf = float(np.sqrt(np.sum((1.0 + k**p.s) ** -2.0)))
     i1 = mass(u0)

@@ -63,10 +63,11 @@ def check_grid(N, L) -> None:
     check_positive_finite("L", L)
 
 
-def check_s(s) -> None:
-    """Raise ParameterError unless the fractional order s lies in (0, 1]."""
-    if not 0.0 < s <= 1.0:
-        raise ParameterError(f"s: must lie in (0, 1], got {s!r}")
+def check_s(s, lo: float = 0.0) -> None:
+    """Raise ParameterError unless the fractional order s lies in (lo, 1];
+    lo = 1/2 where a Petviashvili profile or the H^s bound needs s > 1/2."""
+    if not lo < s <= 1.0:
+        raise ParameterError(f"s: must lie in ({lo:g}, 1], got {s!r}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (ParameterError, ProfileDivergenceError, check_count,
                      check_positive_finite)
-from .spectral import Field, SpectralGrid, derivative, fractional_laplacian
+from .spectral import Field, SpectralGrid, check_s, derivative, fractional_laplacian
 
 __all__ = [
     "SolitonParams",
@@ -27,6 +27,8 @@ __all__ = [
     "residual_operator",
     "petviashvili_profile",
 ]
+
+PROFILE_TOL = 1e-12     # petviashvili_profile's and a config's default tol
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ def _profile_symbol(grid: SpectralGrid, s: float, lambda1: float,
 
 
 def petviashvili_profile(grid: SpectralGrid, s: float, lambda1: float,
-                         lambda2: float, tol: float = 1e-12,
+                         lambda2: float, tol: float = PROFILE_TOL,
                          max_iters: int = 500) -> ProfileResult:
     """Compute a solitary-wave profile by the Petviashvili iteration.
 
@@ -125,8 +127,7 @@ def petviashvili_profile(grid: SpectralGrid, s: float, lambda1: float,
     the drift at the Nyquist mode exactly as residual_operator does, so by
     Parseval this is residual_operator's l2 norm.
     """
-    if not 0.5 < s <= 1.0:
-        raise ParameterError(f"petviashvili_profile requires s in (1/2, 1], got {s!r}")
+    check_s(s, lo=0.5)
     check_positive_finite("tol", tol)
     check_count("max_iters", max_iters)
     ell = _profile_symbol(grid, s, lambda1, lambda2)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -134,6 +135,16 @@ def test_simulate_divergence_exit_code(tmp_path, capsys):
     code = main(["simulate", "--config", str(config), "--output", str(tmp_path)])
     assert code == EXIT_NUMERICAL
     assert "stage" in capsys.readouterr().err
+
+
+def test_simulate_iteration_cap_exit_code(tmp_path, capsys):
+    # a finite stage that needs more sweeps than the cap is a numerical failure
+    config = write_config(tmp_path, {**SIM_CONFIG, "fp_max_iters": 1})
+    code = main(["simulate", "--config", str(config), "--output", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+    assert re.fullmatch(r"error: fixed-point stage solve diverged at stage 1: "
+                        r"residual \d\.\d{3}e-\d\d after 1 iterations "
+                        r"\(step 1, t = 0\)\n", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("key, value", [

@@ -160,6 +160,10 @@ def test_error_growth_study_validation():
             error_growth_study(config, [5.0, t])
     with pytest.raises(ParameterError):
         error_growth_study(config, [])
+    # one checkpoint in the window leaves no slope to fit
+    with pytest.raises(ParameterError, match="^fit_window: fewer than two"):
+        error_growth_study(desk_config(dt=2.5e-2, T=0.5), [0.25, 0.5],
+                           fit_window=(0.4, 0.5))
 
 
 def test_error_growth_study_observes_only_checkpoint_steps(monkeypatch):

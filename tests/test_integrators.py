@@ -727,6 +727,17 @@ def test_stage_divergence_raises_and_annotates():
     assert "stage" in str(err)
 
 
+def test_stage_iteration_cap_raises_with_finite_residual(small_grid):
+    # the stage stays finite but is not converged when the cap is reached
+    u = smooth_random_field(small_grid, seed=7)
+    with pytest.raises(StageDivergenceError) as info:
+        evolve(u, 0.5, yoshida_coefficients(2), SolverParams(k=0.05, fp_max_iters=1),
+               ModelParams(s=0.8))
+    err = info.value
+    assert (err.stage_index, err.iterations, err.step_index, err.time) == (1, 1, 1, 0.0)
+    assert 0.0 < err.residual < math.inf
+
+
 def test_stage_divergence_pickles():
     err = StageDivergenceError(stage_index=1, iterations=7, residual=2.5)
     err.annotate(step_index=3, time=0.75)

@@ -102,6 +102,7 @@ ERROR_PREFIXES = {
 @pytest.mark.parametrize("mutate,needle", [
     (lambda d: d.pop("N"), "N"),
     (lambda d: d.pop("initial"), "initial"),
+    pytest.param(lambda d: d.update(initial=3), "initial", id="initial-not-object"),
     (lambda d: d.update(N=513), "N"),
     (lambda d: d.update(N=True), "N"),
     (lambda d: d.update(N=8.0), "N"),
@@ -111,6 +112,9 @@ ERROR_PREFIXES = {
     (lambda d: d.update(dt=0.0), "dt"),
     (lambda d: d.update(dt=0.3), "dt"),
     (lambda d: d.update(s=1.5), "s"),
+    pytest.param(lambda d: d.update(s=0.5, initial={"kind": "petviashvili",
+                                                    "lambda1": 1.0}),
+                 "s", id="petviashvili-s=0.5"),
     (lambda d: d.update(scheme_p=0), "scheme_p"),
     (lambda d: d.update(fp_tol=-1e-13), "fp_tol"),
     (lambda d: d.update(fp_max_iters=0), "fp_max_iters"),

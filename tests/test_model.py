@@ -172,5 +172,5 @@ def test_hs_bound_large_field_fails_hypotheses(small_grid):
 @pytest.mark.parametrize("s", [0.5, 0.3])
 def test_hs_bound_requires_s_above_half(small_grid, s):
     u = Field(np.zeros(small_grid.N), small_grid)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"^s: must lie in \(0.5, 1\]"):
         hs_bound_diagnostic(u, ModelParams(s=s))

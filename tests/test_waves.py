@@ -133,10 +133,11 @@ def test_petviashvili_profile_grid_independent():
 
 
 def test_petviashvili_validation(small_grid):
-    with pytest.raises(ParameterError):
-        petviashvili_profile(small_grid, 0.5, 1.0, 0.0)
-    with pytest.raises(ParameterError):
-        petviashvili_profile(small_grid, 0.4, 1.0, 0.0)
+    for bad in (0.5, 0.4):
+        with pytest.raises(ParameterError, match=r"^s: must lie in \(0.5, 1\]"):
+            petviashvili_profile(small_grid, bad, 1.0, 0.0)
+    with pytest.raises(ParameterError, match="^profile symbol .* must be positive"):
+        petviashvili_profile(small_grid, 0.75, -1.0, 0.0)
     for bad in (0.0, math.inf):
         with pytest.raises(ParameterError):
             petviashvili_profile(small_grid, 0.75, 1.0, 0.0, tol=bad)
