@@ -25,12 +25,11 @@ from .harness import (
     TrackRecord,
     WaveTracker,
     build_initial_field,
+    build_profile,
     convergence_study,
-    grid_allocation,
 )
 from .integrators import evolve
 from .io import (
-    PetviashviliInitial,
     RunConfig,
     SnapshotWriter,
     load_config,
@@ -38,8 +37,6 @@ from .io import (
     write_snapshot,
 )
 from .model import InvariantRecord
-from .spectral import SpectralGrid
-from .waves import petviashvili_profile
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,7 +55,7 @@ def _output_dir(config: RunConfig) -> Path:
 
 def cmd_simulate(config: RunConfig) -> int:
     out = _output_dir(config)
-    grid, u0 = build_initial_field(config)
+    u0 = build_initial_field(config)
     scheme, sp, mp = config.problem()
     invariant_rec = InvariantRecorder(mp, stride=config.invariant_stride)
     tracker = WaveTracker(stride=config.snapshot_stride)
@@ -107,21 +104,13 @@ def cmd_convergence(config: RunConfig, dt_list: list[float]) -> int:
 
 def cmd_profile(config: RunConfig) -> int:
     out = _output_dir(config)
-    init = config.initial
-    if not isinstance(init, PetviashviliInitial):
-        raise ParameterError(
-            "initial: the profile command requires initial.kind == 'petviashvili'"
-        )
-    with grid_allocation(config.N):
-        grid = SpectralGrid(config.N, config.L)
-        result = petviashvili_profile(grid, config.s, init.lambda1, init.lambda2,
-                                      tol=init.tol)
+    result = build_profile(config)
     write_snapshot(out / "profile.bin", result.profile, s=config.s, t=0.0)
     metadata = {
         "lambda1": result.lambda1,
         "lambda2": result.lambda2,
         "s": result.s,
-        "tol": init.tol,
+        "tol": config.initial.tol,
         "residual": result.residual,
         "iterations": result.iterations,
     }

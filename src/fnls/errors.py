@@ -7,14 +7,15 @@ to Exception and builds its message from its fields, so default pickling
 (a pool worker's failure) replays the constructor and restores the fields
 set later, such as step_index.
 
-check_count and check_positive_finite are the package's two value checks:
-every precondition on a count or a tolerance calls one of them with the
-name of the value, so each message starts with that name.
+check_count, check_finite and check_positive_finite are the package's
+value checks: every precondition on a count, a wave parameter or a
+tolerance calls one with the value's name, which starts the message.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -47,6 +48,12 @@ def check_count(name: str, value, lo: int = 1, hi: int | None = None) -> None:
     if not lo <= value <= (math.inf if hi is None else hi):
         bound = f"be >= {lo}" if hi is None else f"lie in [{lo}, {hi}]"
         raise ParameterError(f"{name}: must {bound}, got {value!r}")
+
+
+def check_finite(name: str, value) -> None:
+    """Raise ParameterError unless |value| <= the largest float."""
+    if not abs(value) <= sys.float_info.max:
+        raise ParameterError(f"{name}: must be finite, got {value!r}")
 
 
 def check_positive_finite(name: str, value) -> None:

@@ -9,17 +9,18 @@ processes since they share no mutable state.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ConvergenceStudyError, ParameterError, TrackingError, check_count
 from .integrators import evolve, exact_step_count
-from .io import PetviashviliInitial, ProfileFileInitial, RunConfig, read_snapshot
+from .io import PetviashviliInitial, RunConfig, read_snapshot
 from .model import InvariantRecord, ModelParams, invariants
 from .spectral import Field, SpectralGrid
-from .waves import SolitonParams, nls_soliton, petviashvili_profile
+from .waves import ProfileResult, SolitonParams, nls_soliton, petviashvili_profile
 
 __all__ = [
     "ConvergenceRow",
@@ -32,6 +33,7 @@ __all__ = [
     "WaveTracker",
     "SPEED_WINDOW",
     "build_initial_field",
+    "build_profile",
     "component_errors",
     "convergence_study",
     "error_growth_study",
@@ -129,32 +131,35 @@ def grid_allocation(N: int):
         raise ParameterError(f"N: cannot allocate the arrays of {N!r} grid points") from None
 
 
-def build_initial_field(config: RunConfig) -> tuple[SpectralGrid, Field]:
-    """Construct the grid and initial data described by config.initial."""
+def build_profile(config: RunConfig) -> ProfileResult:
+    """The Petviashvili profile that config.initial describes."""
+    init = config.initial
+    if not isinstance(init, PetviashviliInitial):
+        raise ParameterError("initial: the profile command requires "
+                             "initial.kind == 'petviashvili'")
+    with grid_allocation(config.N):
+        return petviashvili_profile(SpectralGrid(config.N, config.L), config.s,
+                                    init.lambda1, init.lambda2, tol=init.tol)
+
+
+def build_initial_field(config: RunConfig) -> Field:
+    """The initial data described by config.initial, on the config's grid."""
+    init = config.initial
+    if isinstance(init, PetviashviliInitial):
+        return build_profile(config).profile
     with grid_allocation(config.N):
         grid = SpectralGrid(config.N, config.L)
-        init = config.initial
         if isinstance(init, SolitonParams):
-            return grid, nls_soliton(grid, 0.0, init)
-        if isinstance(init, ProfileFileInitial):
-            snap = read_snapshot(init.path)
-            if snap.field.grid.N != grid.N or snap.field.grid.L != grid.L:
-                raise ParameterError(
-                    f"initial.path: snapshot grid (N={snap.field.grid.N}, "
-                    f"L={snap.field.grid.L!r}) does not match config "
-                    f"(N={grid.N}, L={grid.L!r})"
-                )
-            if snap.s != config.s:
-                raise ParameterError(
-                    f"initial.path: snapshot was computed for s={snap.s!r}, "
-                    f"config has s={config.s!r}"
-                )
-            return grid, snap.field
-        if isinstance(init, PetviashviliInitial):
-            result = petviashvili_profile(grid, config.s, init.lambda1,
-                                          init.lambda2, tol=init.tol)
-            return grid, result.profile
-    raise ParameterError(f"initial: unsupported kind {type(init).__name__}")
+            return nls_soliton(grid, 0.0, init)
+        snap = read_snapshot(init.path)     # a ProfileFileInitial, the kind left
+        if snap.field.grid.N != grid.N or snap.field.grid.L != grid.L:
+            raise ParameterError(f"initial.path: snapshot grid (N={snap.field.grid.N}, "
+                                 f"L={snap.field.grid.L!r}) does not match config "
+                                 f"(N={grid.N}, L={grid.L!r})")
+        if snap.s != config.s:
+            raise ParameterError(f"initial.path: snapshot was computed for "
+                                 f"s={snap.s!r}, config has s={config.s!r}")
+        return snap.field
 
 
 def _require_soliton_initial(config: RunConfig) -> SolitonParams:
@@ -168,25 +173,19 @@ def _require_soliton_initial(config: RunConfig) -> SolitonParams:
 
 # --- temporal convergence table ---------------------------------------------
 
-def _run_row(config: RunConfig, dt: float, initial_values: np.ndarray,
-             reference_values: np.ndarray) -> tuple[float, float]:
+def _run_row(config: RunConfig, initial_values: np.ndarray,
+             reference_values: np.ndarray, dt: float) -> tuple[float, float]:
     grid = SpectralGrid(config.N, config.L)
     final, _ = evolve(Field(initial_values, grid), config.T, *config.problem(dt))
     return component_errors(final, Field(reference_values, grid))
 
 
 def _attach_rates(dts: list[float], errors: list[tuple[float, float]]) -> list[ConvergenceRow]:
-    rows: list[ConvergenceRow] = []
-    prev: tuple[float, float] | None = None
-    for dt, (ev, ew) in zip(dts, errors):
-        if prev is None:
-            rv = rw = None
-        else:
-            rv = math.log2(prev[0] / ev) if prev[0] > 0 and ev > 0 else None
-            rw = math.log2(prev[1] / ew) if prev[1] > 0 and ew > 0 else None
-        rows.append(ConvergenceRow(dt=dt, err_v=ev, rate_v=rv, err_w=ew, rate_w=rw))
-        prev = (ev, ew)
-    return rows
+    def rate(prev: float, err: float) -> float | None:
+        return math.log2(prev / err) if prev > 0 and err > 0 else None
+    # zero errors before the first row give it no rates
+    return [ConvergenceRow(dt=dt, err_v=ev, rate_v=rate(pv, ev), err_w=ew, rate_w=rate(pw, ew))
+            for dt, (pv, pw), (ev, ew) in zip(dts, [(0.0, 0.0), *errors], errors)]
 
 
 def convergence_study(config: RunConfig, dt_list: list[float],
@@ -195,10 +194,10 @@ def convergence_study(config: RunConfig, dt_list: list[float],
 
     Errors are measured against the exact soliton at time T, separately
     for the real and imaginary parts.  Rows run in up to ``workers``
-    processes (default: one per row), submitted longest first (most
-    steps T/dt) so that the slowest row does not queue behind shorter
-    ones; results keep the order of dt_list.  A failed row aborts the
-    study; the rows before it in dt_list ride along on the raised
+    processes (default: one per row), submitted smallest dt first (most
+    steps) so that the slowest row does not queue behind shorter ones;
+    results keep the order of dt_list.  A failed row aborts the study;
+    the rows before it in dt_list ride along on the raised
     ConvergenceStudyError.
     """
     if workers is not None:
@@ -212,35 +211,28 @@ def convergence_study(config: RunConfig, dt_list: list[float],
             raise ParameterError(f"dt = {dt!r} must divide T = {config.T!r} "
                                  f"exactly ({err})") from None
     soliton = _require_soliton_initial(config)
-    grid, u0 = build_initial_field(config)
-    reference = nls_soliton(grid, config.T, soliton)
+    u0 = build_initial_field(config)
+    reference = nls_soliton(u0.grid, config.T, soliton)
     n_workers = len(dt_list) if workers is None else min(workers, len(dt_list))
-
-    errors: list[tuple[float, float]] = []
-    if n_workers == 1:
+    row = partial(_run_row, config, u0.values, reference.values)
+    with ExitStack() as stack:
+        if n_workers == 1:
+            results = map(row, dt_list)
+        else:
+            from concurrent.futures import ProcessPoolExecutor
+            # kept local: importing concurrent.futures.process costs every
+            # `fnls simulate` start about 20 ms
+            pool = ProcessPoolExecutor(max_workers=n_workers)
+            stack.callback(pool.shutdown, cancel_futures=True)
+            futures = {i: pool.submit(row, dt_list[i])
+                       for i in sorted(range(len(dt_list)), key=dt_list.__getitem__)}
+            results = (futures[i].result() for i in range(len(dt_list)))
+        errors: list[tuple[float, float]] = []
         for dt in dt_list:
             try:
-                errors.append(_run_row(config, dt, u0.values, reference.values))
+                errors.append(next(results))
             except Exception as err:
                 raise ConvergenceStudyError(dt, _attach_rates(dt_list, errors), err)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        # kept local: importing concurrent.futures.process costs every
-        # `fnls simulate` start about 20 ms
-        longest_first = sorted(range(len(dt_list)),
-                               key=lambda i: -exact_step_count(config.T, dt_list[i]))
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = [None] * len(dt_list)
-            for i in longest_first:
-                futures[i] = pool.submit(_run_row, config, dt_list[i],
-                                         u0.values, reference.values)
-            for dt, future in zip(dt_list, futures):
-                try:
-                    errors.append(future.result())
-                except Exception as err:
-                    for f in futures:
-                        f.cancel()
-                    raise ConvergenceStudyError(dt, _attach_rates(dt_list, errors), err)
     return _attach_rates(dt_list, errors)
 
 
@@ -286,7 +278,7 @@ def error_growth_study(config: RunConfig, checkpoint_times: list[float],
         if n > M:
             raise ParameterError(f"checkpoint_times: t = {t!r} is beyond T = {config.T!r}")
         wanted.add(n)
-    grid, u0 = build_initial_field(config)
+    u0 = build_initial_field(config)
     recorder = _SolitonErrorRecorder(wanted, soliton)
     evolve(u0, config.T, *config.problem(), observers=(recorder,))
     series = recorder.points
@@ -312,7 +304,7 @@ def error_growth_study(config: RunConfig, checkpoint_times: list[float],
 
 def invariant_drift_study(config: RunConfig) -> InvariantDriftResult:
     """Run the configured evolution and summarize invariant drift."""
-    grid, u0 = build_initial_field(config)
+    u0 = build_initial_field(config)
     scheme, sp, mp = config.problem()
     recorder = InvariantRecorder(mp, stride=config.invariant_stride)
     evolve(u0, config.T, scheme, sp, mp, observers=(recorder,))

@@ -187,45 +187,33 @@ class _StepContext:
         self.base = np.empty(N, dtype=complex)      # pre_j fft(Y_prev)
 
 
-class _StagePredictor:
-    """Predicted nonlinear parts of evolve's stage midpoints, extrapolated
-    from those of the last three steps in each mode's measured rotation
-    (see the module docstring)."""
+# factors of 3 w (g1 - w (g2 - w g3 / 3)), as complex 0-d arrays, which a
+# ufunc takes without the conversion a Python scalar costs each call
+THIRD, THREE = (np.array(f, dtype=complex) for f in (1.0 / 3.0, 3.0))
+TINY = np.array(np.finfo(float).tiny)
 
-    # factors of 3 w (g1 - w (g2 - w g3 / 3)), as complex 0-d arrays, which
-    # a ufunc takes without the conversion a Python scalar costs each call
-    THIRD, THREE = (np.array(f, dtype=complex) for f in (1.0 / 3.0, 3.0))
-    TINY = np.array(np.finfo(float).tiny)
 
-    def __init__(self, q: int, N: int):
-        # history[(m - 1) % 3, j - 1] = g_{j,m}, the converged nonlinear
-        # part of stage j in step m
-        self.history = np.empty((3, q, N), dtype=complex)
-        self.omega = np.empty((q, N), dtype=complex)
-        self.scale = np.empty((q, N))
-        self.steps = 0          # completed steps recorded in history
-
-    def _extrapolate(self):
-        # every stage's predicted part, into the slot of g3 = g_{n-3},
-        # which this step's converged parts overwrite next
-        n = self.steps
-        g1, g2, acc = (self.history[(n - i) % 3] for i in (1, 2, 3))
-        w, scale = self.omega, self.scale
-        np.conjugate(g2, out=w)
-        np.multiply(w, g1, out=w)
-        # w / |w|, and 0 where w is exactly 0: 0 / tiny, not 0 / 0 (np.sign
-        # does both, but took 12 times as long as np.abs at q N = 12288)
-        np.abs(w, out=scale)
-        np.maximum(scale, self.TINY, out=scale)
-        np.reciprocal(scale, out=scale)
-        np.multiply(w, scale, out=w)
-        np.multiply(acc, w, out=acc)
-        np.multiply(acc, self.THIRD, out=acc)
-        np.subtract(g2, acc, out=acc)
-        np.multiply(acc, w, out=acc)
-        np.subtract(g1, acc, out=acc)
-        np.multiply(acc, w, out=acc)
-        np.multiply(acc, self.THREE, out=acc)
+def _extrapolate(history: np.ndarray, n: int, w: np.ndarray, scale: np.ndarray) -> None:
+    """Predict each stage's nonlinear part g in step n (see the module
+    docstring) into the slot of g_{n-3}, which step n then overwrites:
+    history[(m - 1) % 3, j - 1] holds stage j's converged g in step m.
+    w and scale are (q, N) work arrays."""
+    g1, g2, acc = (history[(n - 1 - i) % 3] for i in (1, 2, 3))
+    np.conjugate(g2, out=w)
+    np.multiply(w, g1, out=w)
+    # w / |w|, and 0 where w is exactly 0: 0 / tiny, not 0 / 0 (np.sign
+    # does both, but took 12 times as long as np.abs at q N = 12288)
+    np.abs(w, out=scale)
+    np.maximum(scale, TINY, out=scale)
+    np.reciprocal(scale, out=scale)
+    np.multiply(w, scale, out=w)
+    np.multiply(acc, w, out=acc)
+    np.multiply(acc, THIRD, out=acc)
+    np.subtract(g2, acc, out=acc)
+    np.multiply(acc, w, out=acc)
+    np.subtract(g1, acc, out=acc)
+    np.multiply(acc, w, out=acc)
+    np.multiply(acc, THREE, out=acc)
 
 
 # Diverging stage iterates may overflow before the iteration cap trips;
@@ -346,9 +334,11 @@ def evolve(U0: Field, T: float, scheme: CompositionScheme, sp: SolverParams,
 
     counts = [0] * scheme.q     # counts[j - 1]: stage j's iterations
     if M > 4:
-        predictor = _StagePredictor(scheme.q, N)
+        history = np.empty((3, scheme.q, N), dtype=complex)
+        w = np.empty((scheme.q, N), dtype=complex)
+        scale = np.empty((scheme.q, N))
         # slots[r] pairs each stage index j with its row of history[r]
-        slots = [list(enumerate(history, 1)) for history in predictor.history]
+        slots = [list(enumerate(rows, 1)) for rows in history]
     else:
         # nothing is predicted: every stage writes its g into one scratch
         scratch = np.empty_like(u_hat)
@@ -361,8 +351,7 @@ def evolve(U0: Field, T: float, scheme: CompositionScheme, sp: SolverParams,
             # written into the slot its converged part then overwrites
             predicted = n > 4
             if predicted:
-                predictor.steps = n - 1
-                predictor._extrapolate()
+                _extrapolate(history, n, w, scale)
             try:
                 for j, g in slots[(n - 1) % len(slots)]:
                     counts[j - 1] += _stage_solve(ctx, j, u_hat, spare, g, predicted)

@@ -13,16 +13,15 @@ interleaved (re, im) float64 pairs.
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Iterable, Union
+from typing import Any, Iterable, Union, get_args
 
 import numpy as np
 
-from .errors import ParameterError, check_count, check_positive_finite
+from .errors import ParameterError, check_count, check_finite, check_positive_finite
 from .integrators import (MAX_COMPOSITION_LEVEL, CompositionScheme, SolverParams,
                           exact_step_count, yoshida_coefficients)
 from .model import ModelParams
@@ -58,6 +57,11 @@ class PetviashviliInitial:
     lambda1: float
     lambda2: float = 0.0
     tol: float = PROFILE_TOL
+
+    def __post_init__(self) -> None:
+        check_finite("lambda1", self.lambda1)
+        check_finite("lambda2", self.lambda2)
+        check_positive_finite("tol", self.tol)
 
 
 InitialSpec = Union[SolitonInitial, ProfileFileInitial, PetviashviliInitial]
@@ -102,9 +106,10 @@ class RunConfig:
         check_count("fp_max_iters", self.fp_max_iters)
         check_count("invariant_stride", self.invariant_stride)
         check_count("snapshot_stride", self.snapshot_stride)
+        if not isinstance(self.initial, get_args(InitialSpec)):
+            raise ParameterError(f"initial: unsupported kind {type(self.initial).__name__}")
         if isinstance(self.initial, PetviashviliInitial):
             check_s(self.s, lo=0.5)
-            check_positive_finite("initial.tol", self.initial.tol)
 
     def problem(self, dt: float | None = None) -> tuple[CompositionScheme,
                                                         SolverParams, ModelParams]:
@@ -131,13 +136,8 @@ def _take(data: dict, out: dict, key: str, kind: Any, where: str = "",
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParameterError(f"{where}{key}: expected a number, got {value!r}")
-        try:
-            number = float(value)
-        except OverflowError:   # an integer literal beyond the float range
-            number = math.inf
-        if not math.isfinite(number):
-            raise ParameterError(f"{where}{key}: must be finite, got {value!r}")
-        value = number
+        check_finite(where + key, value)
+        value = float(value)
     elif kind in (str, Path) and not isinstance(value, str):
         raise ParameterError(f"{where}{key}: expected a string, got {value!r}")
     elif kind is not None:
@@ -173,7 +173,9 @@ def _parse_initial(data: Any) -> InitialSpec:
     try:
         return spec_type(**fields)
     except ParameterError as err:
-        raise ParameterError(f"initial: {err}") from None
+        # a check that names a key ("tol: ...") reads "initial.tol: ..."
+        named = str(err).partition(":")[0] in fields
+        raise ParameterError(f"initial{'.' if named else ': '}{err}") from None
 
 
 def load_config(path: Path | str) -> RunConfig:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ParameterError, ProfileDivergenceError, check_count,
-                     check_positive_finite)
+                     check_finite, check_positive_finite)
 from .spectral import Field, SpectralGrid, check_s, derivative, fractional_laplacian
 
 __all__ = [
@@ -35,8 +35,8 @@ PROFILE_TOL = 1e-12     # petviashvili_profile's and a config's default tol
 class SolitonParams:
     """Parameters of the s = 1 soliton.
 
-    lambda1 sets the frequency, lambda2 the velocity; the sech width
-    parameter a = lambda1 - lambda2^2 / 4 must be positive.
+    lambda1 sets the frequency, lambda2 the velocity; all four are finite,
+    and the sech width parameter a = lambda1 - lambda2^2 / 4 is positive.
     """
 
     lambda1: float
@@ -45,6 +45,8 @@ class SolitonParams:
     theta0: float = 0.0
 
     def __post_init__(self):
+        for name in ("lambda1", "lambda2", "x0", "theta0"):
+            check_finite(name, getattr(self, name))
         if not self.a > 0.0:
             raise ParameterError(
                 "soliton requires a = lambda1 - lambda2^2/4 > 0, got "
@@ -128,6 +130,8 @@ def petviashvili_profile(grid: SpectralGrid, s: float, lambda1: float,
     Parseval this is residual_operator's l2 norm.
     """
     check_s(s, lo=0.5)
+    check_finite("lambda1", lambda1)
+    check_finite("lambda2", lambda2)
     check_positive_finite("tol", tol)
     check_count("max_iters", max_iters)
     ell = _profile_symbol(grid, s, lambda1, lambda2)

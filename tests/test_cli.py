@@ -65,7 +65,7 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     assert "steps" in stdout and "40" in stdout
     # the exact iteration total of the same run, made in process
     cfg = fnls.load_config(config)
-    _, u0 = fnls.build_initial_field(cfg)
+    u0 = fnls.build_initial_field(cfg)
     _, stats = fnls.evolve(u0, cfg.T, fnls.yoshida_coefficients(cfg.scheme_p),
                            fnls.SolverParams(k=cfg.dt, fp_tol=cfg.fp_tol,
                                              fp_max_iters=cfg.fp_max_iters),
@@ -114,6 +114,21 @@ def test_convergence_rejects_zero_dt(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "dt" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("dts, code", [(["0.1", "0.05"], EXIT_OK),
+                                       (["0.1", "-inf"], EXIT_CONFIG)])
+def test_convergence_dt_list_before_another_option(tmp_path, capsys, dts, code):
+    # the --dt list ends at the next option, which is no dt value
+    config = write_config(tmp_path, SIM_CONFIG)
+    assert main(["convergence", "--dt", *dts, "--config", str(config),
+                 "--output", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_OK:
+        lines = (tmp_path / "convergence.csv").read_text().splitlines()
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [0.1, 0.05]
+    else:
+        assert err.startswith("error: dt = -inf must divide T = 0.5")
 
 
 @pytest.mark.parametrize("key, updates", [

@@ -1,5 +1,7 @@
 import math
+import multiprocessing
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -113,6 +115,24 @@ def test_convergence_study_divergence_carries_partial_rows():
     assert [row.dt for row in info.value.partial_rows] == [1e-2]
     assert isinstance(info.value.__cause__, StageDivergenceError)
     assert str(pickle.loads(pickle.dumps(info.value))) == str(info.value)
+    # the failed study has shut its pool down and joined its workers
+    assert multiprocessing.active_children() == []
+
+
+def test_convergence_study_failed_submit_leaves_no_worker(monkeypatch):
+    # the pool is shut down on every exit, also when a submit fails
+    submit, calls = ProcessPoolExecutor.submit, []
+
+    def second_submit_fails(pool, *args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("cannot schedule new futures")
+        return submit(pool, *args)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", second_submit_fails)
+    with pytest.raises(RuntimeError, match="cannot schedule"):
+        convergence_study(desk_config(), [1e-2, 2e-2], workers=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_convergence_study_pool_keeps_unsorted_dt_order():
@@ -289,6 +309,19 @@ def test_wave_tracker_keeps_first_error(small_grid):
     assert info.value is first
 
 
+def test_tracking_flat_crest_across_the_seam(small_grid):
+    # |u| = 1 at nodes N - 1, 0 and 1: the parabola through them is flat,
+    # so the crest is node 0, at x = -L, with no sub-grid shift
+    vals = np.full(small_grid.N, 0.5, dtype=complex)
+    vals[[-1, 0, 1]] = (1j, 1.0, -1.0)
+    tracker = WaveTracker()
+    tracker(0, 0.0, Field(vals, small_grid))
+    [record] = tracker.records()
+    assert tracker.error is None
+    assert record.amplitude == 1.0
+    assert record.peak_x == -small_grid.L
+
+
 def test_tracking_empty_input():
     with pytest.raises(ParameterError):
         wave_tracking([])
@@ -296,17 +329,17 @@ def test_tracking_empty_input():
 
 def test_build_initial_field_soliton():
     config = desk_config()
-    grid, field = build_initial_field(config)
-    assert grid.N == 512
-    expected = nls_soliton(grid, 0.0, SolitonParams(1.0, 0.25))
+    field = build_initial_field(config)
+    assert field.grid.N == 512
+    expected = nls_soliton(field.grid, 0.0, SolitonParams(1.0, 0.25))
     np.testing.assert_array_equal(field.values, expected.values)
 
 
 def test_build_initial_field_petviashvili():
     config = RunConfig(L=16 * np.pi, N=512, s=1.0, dt=1e-2, T=1.0, scheme_p=2,
                        initial=PetviashviliInitial(lambda1=1.0, lambda2=0.25))
-    grid, field = build_initial_field(config)
-    direct = petviashvili_profile(grid, 1.0, 1.0, 0.25)
+    field = build_initial_field(config)
+    direct = petviashvili_profile(field.grid, 1.0, 1.0, 0.25)
     np.testing.assert_allclose(field.values, direct.profile.values, atol=1e-14)
 
 
@@ -318,7 +351,7 @@ def test_build_initial_field_profile_file(tmp_path):
 
     good = RunConfig(L=np.pi, N=64, s=0.75, dt=1e-2, T=0.1, scheme_p=1,
                      initial=ProfileFileInitial(path=path))
-    grid, field = build_initial_field(good)
+    field = build_initial_field(good)
     np.testing.assert_array_equal(field.values, vals)
 
     nul_path = RunConfig(L=np.pi, N=64, s=0.75, dt=1e-2, T=0.1, scheme_p=1,

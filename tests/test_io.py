@@ -129,6 +129,8 @@ ERROR_PREFIXES = {
      "lambda"),
     (lambda d: d.update(initial={"kind": "petviashvili", "lambda1": 1.0, "tol": 0}),
      "initial.tol"),
+    pytest.param(lambda d: d.update(initial={"kind": "petviashvili", "lambda1": math.nan}),
+                 "initial.lambda1", id="petviashvili-lambda1=nan"),
 ])
 def test_load_config_errors_name_the_field(tmp_path, mutate, needle):
     data = json.loads(json.dumps(GOOD_CONFIG))
@@ -200,6 +202,26 @@ def test_soliton_initial_is_validated_at_construction():
     assert SolitonInitial is SolitonParams
     with pytest.raises(ParameterError, match="lambda1 - lambda2"):
         SolitonInitial(0.2, 1.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SolitonInitial(math.inf), "lambda1: must be finite, got inf"),
+    (lambda: SolitonInitial(1.0, x0=math.inf), "x0: must be finite, got inf"),
+    (lambda: SolitonInitial(1.0, x0=math.nan), "x0: must be finite, got nan"),
+    (lambda: SolitonInitial(1.0, theta0=math.nan), "theta0: must be finite, got nan"),
+    (lambda: PetviashviliInitial(math.inf), "lambda1: must be finite, got inf"),
+    (lambda: PetviashviliInitial(1.0, math.nan), "lambda2: must be finite, got nan"),
+    (lambda: PetviashviliInitial(1.0, tol=0.0), "tol: must be positive and finite, got 0.0"),
+    (lambda: RunConfig(L=np.pi, N=64, s=0.75, dt=1e-2, T=0.1, scheme_p=2,
+                       initial="bogus"), "initial: unsupported kind str"),
+], ids=["soliton-lambda1", "soliton-x0-inf", "soliton-x0-nan", "soliton-theta0",
+        "petviashvili-lambda1", "petviashvili-lambda2", "petviashvili-tol",
+        "initial-kind"])
+def test_initial_data_is_validated_at_construction(build, message):
+    # a config built in Python is a bad configuration, not a failed run
+    with pytest.raises(ParameterError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_run_config_problem():

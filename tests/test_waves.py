@@ -138,6 +138,10 @@ def test_petviashvili_validation(small_grid):
             petviashvili_profile(small_grid, bad, 1.0, 0.0)
     with pytest.raises(ParameterError, match="^profile symbol .* must be positive"):
         petviashvili_profile(small_grid, 0.75, -1.0, 0.0)
+    with pytest.raises(ParameterError, match="^lambda1: must be finite"):
+        petviashvili_profile(small_grid, 0.75, math.inf, 0.0)
+    with pytest.raises(ParameterError, match="^lambda2: must be finite"):
+        petviashvili_profile(small_grid, 0.75, 1.0, math.nan)
     for bad in (0.0, math.inf):
         with pytest.raises(ParameterError):
             petviashvili_profile(small_grid, 0.75, 1.0, 0.0, tol=bad)
