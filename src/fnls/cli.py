@@ -54,8 +54,8 @@ def _output_dir(config: RunConfig) -> Path:
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    out = _output_dir(config)
     u0 = build_initial_field(config)
+    out = _output_dir(config)
     scheme, sp, mp = config.problem()
     invariant_rec = InvariantRecorder(mp, stride=config.invariant_stride)
     tracker = WaveTracker(stride=config.snapshot_stride)
@@ -103,8 +103,8 @@ def cmd_convergence(config: RunConfig, dt_list: list[float]) -> int:
 
 
 def cmd_profile(config: RunConfig) -> int:
-    out = _output_dir(config)
     result = build_profile(config)
+    out = _output_dir(config)
     write_snapshot(out / "profile.bin", result.profile, s=config.s, t=0.0)
     metadata = {
         "lambda1": result.lambda1,
@@ -186,11 +186,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except OSError as err:
         # config and snapshot reads report their own failures, so an
-        # OSError naming a file is an output that cannot be written
-        if err.filename is None:
-            raise
-        print(f"error: output_dir: cannot write {str(err.filename)!r}: "
-              f"{err.strerror}", file=sys.stderr)
+        # OSError is an output that cannot be written
+        print(f"error: output_dir: cannot write {str(err.filename or config.output_dir)!r}: "
+              f"{err.strerror or err}", file=sys.stderr)
         return EXIT_CONFIG
     except FnlsError as err:
         print(f"error: {err}", file=sys.stderr)

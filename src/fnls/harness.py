@@ -131,12 +131,24 @@ def grid_allocation(N: int):
         raise ParameterError(f"N: cannot allocate the arrays of {N!r} grid points") from None
 
 
+# Why the entry points that need one initial kind refuse the others.
+_KIND_REQUIREMENTS = {
+    SolitonParams: "this study measures errors against the closed-form soliton "
+                   "and requires initial.kind == 'soliton'",
+    PetviashviliInitial: "the profile command requires initial.kind == 'petviashvili'",
+}
+
+
+def _require_initial(config: RunConfig, kind: type):
+    """config.initial, which must be an instance of kind."""
+    if not isinstance(config.initial, kind):
+        raise ParameterError(f"initial: {_KIND_REQUIREMENTS[kind]}")
+    return config.initial
+
+
 def build_profile(config: RunConfig) -> ProfileResult:
     """The Petviashvili profile that config.initial describes."""
-    init = config.initial
-    if not isinstance(init, PetviashviliInitial):
-        raise ParameterError("initial: the profile command requires "
-                             "initial.kind == 'petviashvili'")
+    init = _require_initial(config, PetviashviliInitial)
     with grid_allocation(config.N):
         return petviashvili_profile(SpectralGrid(config.N, config.L), config.s,
                                     init.lambda1, init.lambda2, tol=init.tol)
@@ -160,15 +172,6 @@ def build_initial_field(config: RunConfig) -> Field:
             raise ParameterError(f"initial.path: snapshot was computed for "
                                  f"s={snap.s!r}, config has s={config.s!r}")
         return snap.field
-
-
-def _require_soliton_initial(config: RunConfig) -> SolitonParams:
-    if not isinstance(config.initial, SolitonParams):
-        raise ParameterError(
-            "initial: this study measures errors against the closed-form "
-            "soliton and requires initial.kind == 'soliton'"
-        )
-    return config.initial
 
 
 # --- temporal convergence table ---------------------------------------------
@@ -205,12 +208,8 @@ def convergence_study(config: RunConfig, dt_list: list[float],
     if not dt_list:
         raise ParameterError("dt_list must not be empty")
     for dt in dt_list:
-        try:
-            exact_step_count(config.T, dt)
-        except ParameterError as err:
-            raise ParameterError(f"dt = {dt!r} must divide T = {config.T!r} "
-                                 f"exactly ({err})") from None
-    soliton = _require_soliton_initial(config)
+        exact_step_count(config.T, dt, "dt")
+    soliton = _require_initial(config, SolitonParams)
     u0 = build_initial_field(config)
     reference = nls_soliton(u0.grid, config.T, soliton)
     n_workers = len(dt_list) if workers is None else min(workers, len(dt_list))
@@ -266,15 +265,11 @@ def error_growth_study(config: RunConfig, checkpoint_times: list[float],
     """
     if not checkpoint_times:
         raise ParameterError("checkpoint_times must not be empty")
-    soliton = _require_soliton_initial(config)
+    soliton = _require_initial(config, SolitonParams)
     M = exact_step_count(config.T, config.dt)
     wanted: set[int] = set()
     for t in checkpoint_times:
-        try:
-            n = 0 if t == 0.0 else exact_step_count(t, config.dt)
-        except ParameterError as err:
-            raise ParameterError(f"checkpoint_times: t = {t!r} is not a step "
-                                 f"multiple of dt = {config.dt!r} ({err})") from None
+        n = 0 if t == 0.0 else exact_step_count(t, config.dt, "checkpoint_times")
         if n > M:
             raise ParameterError(f"checkpoint_times: t = {t!r} is beyond T = {config.T!r}")
         wanted.add(n)

@@ -293,21 +293,20 @@ def imr_stage_solve(Y_prev: Field, b_j: float, sp: SolverParams,
     return out, counts[0]
 
 
-def exact_step_count(T: float, k: float) -> int:
+def exact_step_count(T: float, k: float, name: str = "T/k") -> int:
     """Step count M = T/k, required to be a positive integer to 0.5 ulp.
 
     Mismatches are rejected rather than silently rounding k: convergence
-    studies rely on exact step counts.
+    studies rely on exact step counts.  The message starts with name, the
+    caller's name for the value checked.
     """
     ratio = T / k if k else math.inf
     if not math.isfinite(ratio):
-        raise ParameterError(f"T/k = {T!r}/{k!r} is not a finite step count")
+        raise ParameterError(f"{name}: T/k = {T!r}/{k!r} is not a finite step count")
     M = round(ratio)
     if M < 1 or abs(ratio - M) > 0.5 * math.ulp(abs(ratio)):
-        raise ParameterError(
-            f"T/k = {ratio!r} is not a positive integer step count; "
-            "choose k dividing T exactly"
-        )
+        raise ParameterError(f"{name}: T/k = {T!r}/{k!r} = {ratio!r} is not a positive "
+                             "integer step count; choose k dividing T exactly")
     return M
 
 

@@ -21,7 +21,8 @@ from typing import Any, Iterable, Union, get_args
 
 import numpy as np
 
-from .errors import ParameterError, check_count, check_finite, check_positive_finite
+from .errors import (ParameterError, check_count, check_finite, check_flag,
+                     check_positive_finite)
 from .integrators import (MAX_COMPOSITION_LEVEL, CompositionScheme, SolverParams,
                           exact_step_count, yoshida_coefficients)
 from .model import ModelParams
@@ -59,8 +60,7 @@ class PetviashviliInitial:
     tol: float = PROFILE_TOL
 
     def __post_init__(self) -> None:
-        check_finite("lambda1", self.lambda1)
-        check_finite("lambda2", self.lambda2)
+        SolitonInitial(self.lambda1, self.lambda2)     # the iteration's start
         check_positive_finite("tol", self.tol)
 
 
@@ -91,16 +91,10 @@ class RunConfig:
         # building the grid, model or solver.
         check_grid(self.N, self.L)
         check_s(self.s)
-        if not isinstance(self.dealias, (bool, np.bool_)):
-            raise ParameterError(f"dealias: expected a boolean, got {self.dealias!r}")
-        if not self.dt > 0:
-            raise ParameterError(f"dt: must be positive, got {self.dt!r}")
-        if not self.T > 0:
-            raise ParameterError(f"T: must be positive, got {self.T!r}")
-        try:
-            exact_step_count(self.T, self.dt)
-        except ParameterError as err:
-            raise ParameterError(f"dt: {err}") from None
+        check_flag("dealias", self.dealias)
+        check_positive_finite("dt", self.dt)
+        check_positive_finite("T", self.T)
+        exact_step_count(self.T, self.dt, "dt")
         check_count("scheme_p", self.scheme_p, 1, MAX_COMPOSITION_LEVEL)
         check_positive_finite("fp_tol", self.fp_tol)
         check_count("fp_max_iters", self.fp_max_iters)
@@ -172,10 +166,8 @@ def _parse_initial(data: Any) -> InitialSpec:
         raise ParameterError(f"initial: unknown key(s) {sorted(data)} for kind {kind!r}")
     try:
         return spec_type(**fields)
-    except ParameterError as err:
-        # a check that names a key ("tol: ...") reads "initial.tol: ..."
-        named = str(err).partition(":")[0] in fields
-        raise ParameterError(f"initial{'.' if named else ': '}{err}") from None
+    except ParameterError as err:   # each spec check names its key: "initial.tol: ..."
+        raise ParameterError(f"initial.{err}") from None
 
 
 def load_config(path: Path | str) -> RunConfig:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_flag
 from .spectral import Field, SpectralGrid, check_s, dealias, fractional_laplacian
 
 __all__ = [
@@ -47,6 +48,8 @@ class ModelParams:
 
     def __post_init__(self):
         check_s(self.s)
+        check_flag("dealias", self.dealias)
+        check_flag("linear", self.linear)
 
 
 @dataclass(frozen=True)

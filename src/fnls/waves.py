@@ -48,10 +48,8 @@ class SolitonParams:
         for name in ("lambda1", "lambda2", "x0", "theta0"):
             check_finite(name, getattr(self, name))
         if not self.a > 0.0:
-            raise ParameterError(
-                "soliton requires a = lambda1 - lambda2^2/4 > 0, got "
-                f"a = {self.a!r}"
-            )
+            raise ParameterError(f"lambda1: must exceed lambda2^2/4 = "
+                                 f"{0.25 * self.lambda2**2!r}, got {self.lambda1!r}")
 
     @property
     def a(self) -> float:

@@ -128,7 +128,7 @@ def test_convergence_dt_list_before_another_option(tmp_path, capsys, dts, code):
         lines = (tmp_path / "convergence.csv").read_text().splitlines()
         assert [float(line.split(",")[0]) for line in lines[1:]] == [0.1, 0.05]
     else:
-        assert err.startswith("error: dt = -inf must divide T = 0.5")
+        assert err.startswith("error: dt: T/k = 0.5/-inf = -0.0 is not a positive integer")
 
 
 @pytest.mark.parametrize("key, updates", [
@@ -224,6 +224,37 @@ def test_output_dir_that_cannot_be_created(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG, err
     assert err.startswith("error: output_dir:")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command,name", [("simulate", "snapshot_00000000.bin"),
+                                          ("profile", "profile.bin")])
+def test_output_write_failure_without_filename(tmp_path, capsys, command, name):
+    # a write to /dev/full fails when the file is flushed, with an OSError
+    # that names no file: the message names the output directory instead
+    initial = ({"kind": "petviashvili", "lambda1": 1.0} if command == "profile"
+               else SIM_CONFIG["initial"])
+    config = write_config(tmp_path, {**SIM_CONFIG, "N": 64, "initial": initial})
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).symlink_to("/dev/full")
+    code = main([command, "--config", str(config), "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG, err
+    assert err.startswith(f"error: output_dir: cannot write {str(out)!r}: "), err
+
+
+@pytest.mark.parametrize("command,initial", [
+    ("profile", SIM_CONFIG["initial"]),
+    ("simulate", {"kind": "profile_file", "path": "missing.bin"}),
+])
+def test_output_dir_created_after_initial_data(tmp_path, capsys, command, initial):
+    config = write_config(tmp_path, {**SIM_CONFIG, "initial": initial})
+    code = main([command, "--config", str(config), "--output", str(tmp_path / "new" / "sub")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG, err
+    assert err.startswith(("error: initial", "error: snapshot:")), err
+    assert not (tmp_path / "new").exists()
 
 
 def test_undecodable_config_and_nul_path_exit_2(tmp_path, capsys):

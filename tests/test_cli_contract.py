@@ -1,7 +1,7 @@
-"""Property tests of the documented exit-code contract of `fnls simulate`
-and `fnls convergence`: every input, valid or not, ends in 0 (success),
-2 (rejected configuration) or 3 (numerical failure), never in a
-traceback."""
+"""Property tests of the documented exit-code contract of `fnls simulate`,
+`fnls profile` and `fnls convergence`: every input, valid or not, ends in
+0 (success), 2 (rejected configuration) or 3 (numerical failure), never in
+a traceback."""
 
 import contextlib
 import io
@@ -86,18 +86,32 @@ def configs(draw):
     return values
 
 
+def check_contract(command: str, config: dict) -> None:
+    """Run command on config; a rejected config leaves no output directory,
+    since configs() never draws a bad output path."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--config", str(path), "--output", str(out)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+        assert code != EXIT_CONFIG or not out.exists()
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(config=configs())
 def test_simulate_exit_code_contract(config):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(config))
-        argv = ["simulate", "--config", str(path), "--output", str(Path(tmp) / "out")]
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
-    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+    check_contract("simulate", config)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(config=configs())
+def test_profile_exit_code_contract(config):
+    check_contract("profile", config)
 
 
 # A small valid soliton run; the --dt lists below vary around its T.

@@ -109,6 +109,17 @@ def test_exact_step_count():
         exact_step_count(1.0, 0.0)
 
 
+@pytest.mark.parametrize("T,k,message", [
+    (1.0, 0.3, "dt: T/k = 1.0/0.3 = 3.3333333333333335 is not a positive integer step "
+               "count; choose k dividing T exactly"),
+    (1.0, 0.0, "dt: T/k = 1.0/0.0 is not a finite step count"),
+], ids=["not-integer", "not-finite"])
+def test_exact_step_count_names_its_value(T, k, message):
+    with pytest.raises(ParameterError) as info:
+        exact_step_count(T, k, "dt")
+    assert str(info.value) == message
+
+
 def test_exact_step_count_rejects_overflow(small_grid):
     for T, k in ((math.inf, 0.1), (1e308, 1e-10), (1.0, 1e-320)):
         with pytest.raises(ParameterError, match="finite"):
@@ -116,7 +127,7 @@ def test_exact_step_count_rejects_overflow(small_grid):
     u = smooth_random_field(small_grid, seed=29)
     with pytest.raises(ParameterError):
         evolve(u, math.inf, yoshida_coefficients(1), SolverParams(k=0.1), ModelParams(s=1.0))
-    with pytest.raises(ParameterError, match="^dt:"):
+    with pytest.raises(ParameterError, match="^T:"):
         RunConfig(L=np.pi, N=64, s=1.0, dt=0.1, T=math.inf, scheme_p=1,
                   initial=SolitonInitial(1.0))
 

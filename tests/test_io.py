@@ -95,7 +95,7 @@ ERROR_PREFIXES = {
     "mystery": r"config: unknown key\(s\) \['mystery'\]",
     "hue": r"initial: unknown key\(s\) \['hue'\]",
     "kind": r"initial\.kind:",
-    "lambda": r"initial: soliton requires a = lambda1 - lambda2\^2/4 > 0",
+    "lambda": r"initial\.lambda1: must exceed lambda2\^2/4 = 0\.25, got 0\.2$",
 }
 
 
@@ -131,6 +131,10 @@ ERROR_PREFIXES = {
      "initial.tol"),
     pytest.param(lambda d: d.update(initial={"kind": "petviashvili", "lambda1": math.nan}),
                  "initial.lambda1", id="petviashvili-lambda1=nan"),
+    # the iteration starts from the s = 1 soliton, so its width is checked here
+    pytest.param(lambda d: d.update(initial={"kind": "petviashvili", "lambda1": 0.2,
+                                             "lambda2": 1.0}),
+                 "initial.lambda1", id="petviashvili-start-width"),
 ])
 def test_load_config_errors_name_the_field(tmp_path, mutate, needle):
     data = json.loads(json.dumps(GOOD_CONFIG))
@@ -178,7 +182,8 @@ def test_validate_rejects_unaddressable_numpy_N():
     (lambda v: ModelParams(s=v), "s", 1.5),
     (lambda v: SolverParams(1e-2, fp_tol=v), "fp_tol", math.inf),
     (lambda v: SolverParams(1e-2, fp_max_iters=v), "fp_max_iters", 2.5),
-], ids=["N", "L", "s", "fp_tol", "fp_max_iters"])
+    (lambda v: ModelParams(s=0.75, dealias=v), "dealias", "no"),
+], ids=["N", "L", "s", "fp_tol", "fp_max_iters", "dealias"])
 def test_component_and_config_give_one_message(build, field, value):
     # each fact has one check: the component that takes a value and the
     # RunConfig field that feeds it reject the same bad value in one wording
@@ -200,7 +205,8 @@ def test_solver_params_rejects_non_integer_iteration_cap(value):
 
 def test_soliton_initial_is_validated_at_construction():
     assert SolitonInitial is SolitonParams
-    with pytest.raises(ParameterError, match="lambda1 - lambda2"):
+    with pytest.raises(ParameterError, match=r"^lambda1: must exceed lambda2\^2/4 = 0\.25, "
+                                             r"got 0\.2$"):
         SolitonInitial(0.2, 1.0)
 
 
@@ -212,10 +218,12 @@ def test_soliton_initial_is_validated_at_construction():
     (lambda: PetviashviliInitial(math.inf), "lambda1: must be finite, got inf"),
     (lambda: PetviashviliInitial(1.0, math.nan), "lambda2: must be finite, got nan"),
     (lambda: PetviashviliInitial(1.0, tol=0.0), "tol: must be positive and finite, got 0.0"),
+    (lambda: PetviashviliInitial(0.2, 1.0), "lambda1: must exceed lambda2^2/4 = 0.25, got 0.2"),
     (lambda: RunConfig(L=np.pi, N=64, s=0.75, dt=1e-2, T=0.1, scheme_p=2,
                        initial="bogus"), "initial: unsupported kind str"),
 ], ids=["soliton-lambda1", "soliton-x0-inf", "soliton-x0-nan", "soliton-theta0",
         "petviashvili-lambda1", "petviashvili-lambda2", "petviashvili-tol",
+        "petviashvili-start-width",
         "initial-kind"])
 def test_initial_data_is_validated_at_construction(build, message):
     # a config built in Python is a bad configuration, not a failed run

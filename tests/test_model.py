@@ -33,6 +33,19 @@ def test_model_params_validation():
             ModelParams(s=s)
 
 
+@pytest.mark.parametrize("field,value,ok", [
+    ("linear", 1, False), ("dealias", np.bool_(True), True), ("linear", np.bool_(True), True),
+])
+def test_model_params_flags_are_booleans(field, value, ok):
+    # a truthy non-boolean would drop the cubic term; dealias="no" is
+    # test_io's test_component_and_config_give_one_message case
+    if ok:
+        assert getattr(ModelParams(s=0.8, **{field: value}), field)
+    else:
+        with pytest.raises(ParameterError, match=f"^{field}: expected a boolean, got"):
+            ModelParams(s=0.8, **{field: value})
+
+
 def test_nonlinearity_pointwise(small_grid):
     vals = np.arange(small_grid.N) * (0.3 - 0.4j)
     out = nonlinearity(Field(vals, small_grid))

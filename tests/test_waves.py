@@ -156,6 +156,13 @@ def test_petviashvili_validation(small_grid):
         petviashvili_profile(small_grid, 0.75, 0.2, 1.0)   # a <= 0
 
 
+def test_petviashvili_start_width_names_lambda1():
+    # the symbol is positive on this grid, the s = 1 start is not a wave
+    with pytest.raises(ParameterError, match="^lambda1: must exceed") as info:
+        petviashvili_profile(SpectralGrid(256, 16 * np.pi), 0.75, 0.2, 1.0)
+    assert "soliton" not in str(info.value)
+
+
 def test_petviashvili_divergence_error():
     g = SpectralGrid(256, 16 * np.pi)
     with pytest.raises(ProfileDivergenceError) as info:
