@@ -83,7 +83,6 @@ def cmd_simulate(config: RunConfig) -> int:
 
 
 def cmd_convergence(config: RunConfig, dt_list: list[float]) -> int:
-    out = _output_dir(config)
     workers = None
     env = os.environ.get("FNLS_THREADS")
     if env is not None:
@@ -93,12 +92,12 @@ def cmd_convergence(config: RunConfig, dt_list: list[float]) -> int:
             raise ParameterError(f"FNLS_THREADS: expected an integer, got {env!r}")
         check_count("FNLS_THREADS", workers)
     rows = convergence_study(config, dt_list, workers=workers)
-    write_csv(out / "convergence.csv", ConvergenceRow, rows)
     print("dt,err_v,rate_v,err_w,rate_w")
     for r in rows:
         rv = "" if r.rate_v is None else f"{r.rate_v:.4f}"
         rw = "" if r.rate_w is None else f"{r.rate_w:.4f}"
         print(f"{r.dt:g},{r.err_v:.6e},{rv},{r.err_w:.6e},{rw}")
+    write_csv(_output_dir(config) / "convergence.csv", ConvergenceRow, rows)
     return EXIT_OK
 
 

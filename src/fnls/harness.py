@@ -131,27 +131,25 @@ def grid_allocation(N: int):
         raise ParameterError(f"N: cannot allocate the arrays of {N!r} grid points") from None
 
 
-# Why the entry points that need one initial kind refuse the others.
-_KIND_REQUIREMENTS = {
-    SolitonParams: "this study measures errors against the closed-form soliton "
-                   "and requires initial.kind == 'soliton'",
-    PetviashviliInitial: "the profile command requires initial.kind == 'petviashvili'",
-}
-
-
-def _require_initial(config: RunConfig, kind: type):
-    """config.initial, which must be an instance of kind."""
-    if not isinstance(config.initial, kind):
-        raise ParameterError(f"initial: {_KIND_REQUIREMENTS[kind]}")
-    return config.initial
-
-
 def build_profile(config: RunConfig) -> ProfileResult:
     """The Petviashvili profile that config.initial describes."""
-    init = _require_initial(config, PetviashviliInitial)
+    init = config.initial
+    if not isinstance(init, PetviashviliInitial):
+        raise ParameterError("initial: the profile command requires "
+                             "initial.kind == 'petviashvili'")
     with grid_allocation(config.N):
         return petviashvili_profile(SpectralGrid(config.N, config.L), config.s,
                                     init.lambda1, init.lambda2, tol=init.tol)
+
+
+def _soliton_reference(config: RunConfig) -> SolitonParams:
+    """config.initial, the closed-form soliton a study measures errors against (s = 1)."""
+    if not isinstance(config.initial, SolitonParams):
+        raise ParameterError("initial: this study measures errors against the closed-form "
+                             "soliton and requires initial.kind == 'soliton'")
+    if config.s != 1.0:
+        raise ParameterError(f"s: the closed-form soliton solves only s = 1, got {config.s!r}")
+    return config.initial
 
 
 def build_initial_field(config: RunConfig) -> Field:
@@ -193,7 +191,7 @@ def _attach_rates(dts: list[float], errors: list[tuple[float, float]]) -> list[C
 
 def convergence_study(config: RunConfig, dt_list: list[float],
                       workers: int | None = None) -> list[ConvergenceRow]:
-    """Evolve soliton data to T once per dt and tabulate errors and rates.
+    """Evolve s = 1 soliton data to T once per dt and tabulate errors and rates.
 
     Errors are measured against the exact soliton at time T, separately
     for the real and imaginary parts.  Rows run in up to ``workers``
@@ -209,7 +207,7 @@ def convergence_study(config: RunConfig, dt_list: list[float],
         raise ParameterError("dt_list must not be empty")
     for dt in dt_list:
         exact_step_count(config.T, dt, "dt")
-    soliton = _require_initial(config, SolitonParams)
+    soliton = _soliton_reference(config)
     u0 = build_initial_field(config)
     reference = nls_soliton(u0.grid, config.T, soliton)
     n_workers = len(dt_list) if workers is None else min(workers, len(dt_list))
@@ -254,18 +252,25 @@ class _SolitonErrorRecorder:
             self.points.append(ErrorPoint(t=t, err_v=ev, err_w=ew))
 
 
+def _check_fit_count(count: int, fit_window: tuple[float, float]) -> None:
+    if count < 2:
+        raise ParameterError("fit_window: fewer than two positive-error checkpoints "
+                             f"inside {fit_window}")
+
+
 def error_growth_study(config: RunConfig, checkpoint_times: list[float],
                        fit_window: tuple[float, float] | None = None) -> ErrorGrowthResult:
-    """Record L2 errors against the exact soliton at the checkpoints and
-    fit a log-log slope.
+    """Record L2 errors against the exact s = 1 soliton at the checkpoints
+    and fit a log-log slope.
 
     Checkpoints must be step multiples of config.dt.  The fit uses the
     combined error sqrt(err_v^2 + err_w^2) over ``fit_window`` (default:
-    the second half of the checkpoint time range).
+    the second half of the checkpoint time range); a window with fewer
+    than two checkpoints is rejected before the run.
     """
     if not checkpoint_times:
         raise ParameterError("checkpoint_times must not be empty")
-    soliton = _require_initial(config, SolitonParams)
+    soliton = _soliton_reference(config)
     M = exact_step_count(config.T, config.dt)
     wanted: set[int] = set()
     for t in checkpoint_times:
@@ -273,26 +278,21 @@ def error_growth_study(config: RunConfig, checkpoint_times: list[float],
         if n > M:
             raise ParameterError(f"checkpoint_times: t = {t!r} is beyond T = {config.T!r}")
         wanted.add(n)
-    u0 = build_initial_field(config)
-    recorder = _SolitonErrorRecorder(wanted, soliton)
-    evolve(u0, config.T, *config.problem(), observers=(recorder,))
-    series = recorder.points
+    times = [n * config.dt for n in sorted(wanted)]     # as evolve reports them
     if fit_window is None:
-        t_first, t_last = series[0].t, series[-1].t
-        fit_window = (0.5 * (t_first + t_last), t_last)
+        fit_window = (0.5 * (times[0] + times[-1]), times[-1])
     lo, hi = fit_window
-    pts = [(p.t, math.hypot(p.err_v, p.err_w)) for p in series
-           if lo <= p.t <= hi and p.t > 0]
-    pts = [(t, e) for t, e in pts if e > 0]
-    if len(pts) < 2:
-        raise ParameterError(
-            "fit_window: fewer than two positive-error checkpoints inside "
-            f"{fit_window}"
-        )
+    in_window = [0 < t and lo <= t <= hi for t in times]
+    _check_fit_count(sum(in_window), fit_window)
+    recorder = _SolitonErrorRecorder(wanted, soliton)
+    evolve(build_initial_field(config), config.T, *config.problem(), observers=(recorder,))
+    pts = [(p.t, e) for p, inside in zip(recorder.points, in_window)
+           if inside and (e := math.hypot(p.err_v, p.err_w)) > 0]
+    _check_fit_count(len(pts), fit_window)
     log_t = np.log([t for t, _ in pts])
     log_e = np.log([e for _, e in pts])
     slope = float(np.polyfit(log_t, log_e, 1)[0])
-    return ErrorGrowthResult(series=series, slope=slope, fit_window=fit_window)
+    return ErrorGrowthResult(series=recorder.points, slope=slope, fit_window=fit_window)
 
 
 # --- invariant drift ---------------------------------------------------------

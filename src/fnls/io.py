@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Union, get_args
@@ -139,33 +139,28 @@ def _take(data: dict, out: dict, key: str, kind: Any, where: str = "",
     out[key] = value
 
 
+# kind -> (spec type, the parser its values share, the spec's fields: its keys)
+_INITIAL_KINDS = {kind: (spec_type, parse, fields(spec_type)) for kind, spec_type, parse in (
+    ("soliton", SolitonInitial, float), ("profile_file", ProfileFileInitial, Path),
+    ("petviashvili", PetviashviliInitial, float))}
+
+
 def _parse_initial(data: Any) -> InitialSpec:
     if not isinstance(data, dict):
         raise ParameterError(f"initial: expected an object, got {data!r}")
-    data, fields = dict(data), {}
-    _take(data, fields, "kind", str, "initial.", required=True)
-    kind = fields.pop("kind")
-    if kind == "soliton":
-        spec_type: type = SolitonInitial
-        _take(data, fields, "lambda1", float, "initial.", required=True)
-        _take(data, fields, "lambda2", float, "initial.")
-        _take(data, fields, "x0", float, "initial.")
-        _take(data, fields, "theta0", float, "initial.")
-    elif kind == "profile_file":
-        spec_type = ProfileFileInitial
-        _take(data, fields, "path", Path, "initial.", required=True)
-    elif kind == "petviashvili":
-        spec_type = PetviashviliInitial
-        _take(data, fields, "lambda1", float, "initial.", required=True)
-        _take(data, fields, "lambda2", float, "initial.")
-        _take(data, fields, "tol", float, "initial.")
-    else:
-        raise ParameterError(f"initial.kind: expected 'soliton', 'profile_file', "
-                             f"or 'petviashvili', got {kind!r}")
+    data, values = dict(data), {}
+    _take(data, values, "kind", str, "initial.", required=True)
+    kind = values.pop("kind")
+    if kind not in _INITIAL_KINDS:
+        raise ParameterError(f"initial.kind: expected one of {list(_INITIAL_KINDS)}, "
+                             f"got {kind!r}")
+    spec_type, parse, spec_fields = _INITIAL_KINDS[kind]
+    for field in spec_fields:
+        _take(data, values, field.name, parse, "initial.", required=field.default is MISSING)
     if data:
         raise ParameterError(f"initial: unknown key(s) {sorted(data)} for kind {kind!r}")
     try:
-        return spec_type(**fields)
+        return spec_type(**values)
     except ParameterError as err:   # each spec check names its key: "initial.tol: ..."
         raise ParameterError(f"initial.{err}") from None
 

@@ -206,8 +206,11 @@ def test_output_dir_that_cannot_be_created(tmp_path, capsys, command):
         assert code == EXIT_CONFIG, err
         assert err.startswith("error: output_dir:") and name in err, err
         assert "Traceback" not in err
-    config = write_config(tmp_path, {
-        **SIM_CONFIG, "initial": {"kind": "petviashvili", "lambda1": 1.0}})
+    # a Petviashvili config, except for convergence: its study measures against
+    # the closed-form soliton and rejects other data before any directory exists
+    if command != "convergence":
+        initial = {"kind": "petviashvili", "lambda1": 1.0}
+    config = write_config(tmp_path, {**SIM_CONFIG, "initial": initial})
     blocker = tmp_path / "taken"
     blocker.write_text("")              # a file where the directory should go
     for output in (blocker, blocker / "sub"):
@@ -217,9 +220,8 @@ def test_output_dir_that_cannot_be_created(tmp_path, capsys, command):
         assert "output_dir" in err
         assert "Traceback" not in err
     # argv cannot carry a NUL byte, a config file can
-    config = write_config(tmp_path, {
-        **SIM_CONFIG, "initial": {"kind": "petviashvili", "lambda1": 1.0},
-        "output_dir": "a\u0000b"})
+    config = write_config(tmp_path, {**SIM_CONFIG, "initial": initial,
+                                     "output_dir": "a\u0000b"})
     code = main([command, "--config", str(config)])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG, err
@@ -247,6 +249,7 @@ def test_output_write_failure_without_filename(tmp_path, capsys, command, name):
 @pytest.mark.parametrize("command,initial", [
     ("profile", SIM_CONFIG["initial"]),
     ("simulate", {"kind": "profile_file", "path": "missing.bin"}),
+    ("convergence", {"kind": "petviashvili", "lambda1": 1.0}),
 ])
 def test_output_dir_created_after_initial_data(tmp_path, capsys, command, initial):
     config = write_config(tmp_path, {**SIM_CONFIG, "initial": initial})
@@ -255,6 +258,18 @@ def test_output_dir_created_after_initial_data(tmp_path, capsys, command, initia
     assert code == EXIT_CONFIG, err
     assert err.startswith(("error: initial", "error: snapshot:")), err
     assert not (tmp_path / "new").exists()
+
+
+def test_convergence_rejects_fractional_soliton(tmp_path, capsys):
+    # the closed-form soliton is no reference for s = 0.75: the table would
+    # measure the distance between two different waves
+    config = write_config(tmp_path, {**SIM_CONFIG, "s": 0.75})
+    code = main(["convergence", "--config", str(config), "--output", str(tmp_path / "out"),
+                 "--dt", "0.025", "0.0125"])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG, err
+    assert err == "error: s: the closed-form soliton solves only s = 1, got 0.75\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_undecodable_config_and_nul_path_exit_2(tmp_path, capsys):

@@ -139,8 +139,10 @@ def test_convergence_exit_code_contract(dts):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
+        out_exists = (Path(tmp) / "out").exists()
     dividing = all(dt in DIVIDING_DTS for dt in dts)
     assert code == (EXIT_OK if dividing else EXIT_CONFIG)
     if not dividing:
         assert "error:" in err.getvalue()
         assert "dt" in err.getvalue()
+        assert not out_exists       # a rejected table writes nothing

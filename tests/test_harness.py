@@ -87,6 +87,9 @@ def test_convergence_study_input_validation():
     with pytest.raises(ParameterError, match="soliton"):
         config = desk_config(initial=PetviashviliInitial(lambda1=1.0), s=0.75)
         convergence_study(config, [1e-2])
+    # the closed-form soliton solves only s = 1: no reference for s = 0.75
+    with pytest.raises(ParameterError, match="^s: the closed-form soliton solves only s = 1"):
+        convergence_study(desk_config(s=0.75), [1e-2])
 
 
 @pytest.mark.parametrize("workers", [0, -1, 2.5, True])
@@ -171,7 +174,14 @@ def test_error_growth_study_zero_time_checkpoint():
     assert math.isfinite(result.slope)
 
 
-def test_error_growth_study_validation():
+def test_error_growth_study_validation(monkeypatch):
+    # every rejection comes before the run
+    from fnls import harness
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("evolve called")
+
+    monkeypatch.setattr(harness, "evolve", no_run)
     config = desk_config(dt=2.5e-2, T=20.0)
     with pytest.raises(ParameterError, match="checkpoint"):
         error_growth_study(config, [1.23])
@@ -184,6 +194,14 @@ def test_error_growth_study_validation():
     with pytest.raises(ParameterError, match="^fit_window: fewer than two"):
         error_growth_study(desk_config(dt=2.5e-2, T=0.5), [0.25, 0.5],
                            fit_window=(0.4, 0.5))
+    # criterion 06's run (T = 50), with the default window and a given one
+    config = desk_config(dt=1.25e-2, T=50.0)
+    with pytest.raises(ParameterError, match="^fit_window: fewer than two"):
+        error_growth_study(config, [5.0])
+    with pytest.raises(ParameterError, match="^fit_window: fewer than two"):
+        error_growth_study(config, [5.0, 10.0, 50.0], fit_window=(20.0, 40.0))
+    with pytest.raises(ParameterError, match="^s: the closed-form soliton solves only s = 1"):
+        error_growth_study(desk_config(dt=2.5e-2, T=0.5, s=0.75), [0.25, 0.5])
 
 
 def test_error_growth_study_observes_only_checkpoint_steps(monkeypatch):

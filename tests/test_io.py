@@ -88,6 +88,17 @@ def test_load_config_initial_kinds(tmp_path):
     config = load_config(write_config(tmp_path, data))
     assert config.initial == ProfileFileInitial(path=Path("p.bin"))
 
+    # each spec's fields are its kind's keys: a file can set every one
+    for initial, spec in (
+            ({"kind": "soliton", "lambda1": 1.0, "lambda2": 0.25, "x0": -3.0, "theta0": 0.5},
+             SolitonInitial(lambda1=1.0, lambda2=0.25, x0=-3.0, theta0=0.5)),
+            ({"kind": "petviashvili", "lambda1": 2.0, "lambda2": 0.5, "tol": 1e-9},
+             PetviashviliInitial(lambda1=2.0, lambda2=0.5, tol=1e-9)),
+            ({"kind": "profile_file", "path": "data/profile.bin"},
+             ProfileFileInitial(path=Path("data/profile.bin")))):
+        data = {**GOOD_CONFIG, "s": 0.75, "initial": initial}
+        assert load_config(write_config(tmp_path, data)).initial == spec
+
 
 # Every message starts with the key it names: "<needle>:" for a bare key,
 # else the prefix given here.
