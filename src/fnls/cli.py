@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import FnlsError, ParameterError, TrackingError, check_count
@@ -173,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         if args.output is not None:
-            config = config.with_output_dir(args.output)
+            config = replace(config, output_dir=args.output)
         if args.command == "simulate":
             return cmd_simulate(config)
         if args.command == "convergence":

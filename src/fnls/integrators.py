@@ -5,14 +5,14 @@ b_j k, Y_j = Y_{j-1} + k b_j F((Y_j + Y_{j-1}) / 2), with Yoshida's
 triple-jump coefficients: order 2p with q = 3^(p-1) stages.  Each stage
 solves for its midpoint X by the mean-field preconditioned fixed point
 
-    X_{n+1} = A^{-1} (Y_{j-1} + i (k b_j / 2) P((|X_n|^2 - c) X_n)),
-    A = I + i (k b_j / 2) ((-d_xx)^s - c P),   c = 2 mean|u_0|^2,
+    X_{n+1} = A^{-1} (Y_{j-1} + i (k b_j / 2) (|X_n|^2 - c) X_n),
+    A = I + i (k b_j / 2) ((-d_xx)^s - c),   c = 2 mean|u_0|^2,
 
-with A inverted mode by mode and Y_j = 2 X* - Y_{j-1}; P is the dealiasing
-mask or 1, and c = 0 for the linear model.  In Fourier space the map is
-Z_{n+1} = base + gain_j fft((|X_n|^2 - c) X_n), with Z = 2 fft(X),
-base = pre_j fft(Y_{j-1}), pre_j = 2 A^{-1} and gain_j = i (k b_j / 2)
-pre_j P.  From step 5 on, stage j starts from Z_0 = base + g~, where the
+with A inverted mode by mode and Y_j = 2 X* - Y_{j-1}.  In Fourier space
+the map is Z_{n+1} = base + gain_j fft((|X_n|^2 - c) X_n), with
+Z = 2 fft(X), base = pre_j fft(Y_{j-1}), pre_j = 2 A^{-1} and
+gain_j = i (k b_j / 2) pre_j; the linear model has c = 0 and gain_j = 0.
+From step 5 on, stage j starts from Z_0 = base + g~, where the
 nonlinear part g = Z* - base is extrapolated from its values g_i in step
 n - i, in each mode's rotation w = sign(g_1 conj(g_2)) (sign(0) = 0):
 
@@ -158,8 +158,7 @@ class _StepContext:
         # 0-d array, which the cubic term subtracts without a conversion
         shift = 0.0 if mp.linear else 2.0 * np.vdot(u_hat, u_hat).real / N ** 2
         self.shift = np.array(shift, dtype=complex)
-        shifted = grid.fractional_symbol(mp.s) - shift * (
-            grid.dealias_mask if mp.dealias else 1.0)
+        shifted = grid.fractional_symbol(mp.s) - shift
         tables = {}     # symmetric compositions repeat b_j; equal stages share
         for bj in b:
             if bj not in tables:
@@ -169,12 +168,7 @@ class _StepContext:
                 pre = (0.5 * ihk) * shifted
                 pre += 0.5
                 np.reciprocal(pre, out=pre)
-                if mp.linear:
-                    gain = np.zeros_like(pre)
-                elif mp.dealias:
-                    gain = ihk * pre * grid.dealias_mask
-                else:
-                    gain = ihk * pre
+                gain = np.zeros_like(pre) if mp.linear else ihk * pre
                 tables[bj] = pre, gain
         self.stages = [tables[bj] for bj in b]      # (pre_j, gain_j)
         # eta[j - 1]: weight of stage j's first-sweep error estimate, 1.0

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Union, get_args
 
 import numpy as np
 
-from .errors import (ParameterError, check_count, check_finite, check_flag,
+from .errors import (ParameterError, check_count, check_finite,
                      check_positive_finite)
 from .integrators import (MAX_COMPOSITION_LEVEL, CompositionScheme, SolverParams,
                           exact_step_count, yoshida_coefficients)
@@ -80,7 +80,6 @@ class RunConfig:
     initial: InitialSpec
     fp_tol: float = SolverParams.fp_tol
     fp_max_iters: int = SolverParams.fp_max_iters
-    dealias: bool = ModelParams.dealias
     invariant_stride: int = 1
     snapshot_stride: int = 100
     output_dir: Path = Path(".")
@@ -91,7 +90,6 @@ class RunConfig:
         # building the grid, model or solver.
         check_grid(self.N, self.L)
         check_s(self.s)
-        check_flag("dealias", self.dealias)
         check_positive_finite("dt", self.dt)
         check_positive_finite("T", self.T)
         exact_step_count(self.T, self.dt, "dt")
@@ -112,10 +110,7 @@ class RunConfig:
         return (yoshida_coefficients(self.scheme_p),
                 SolverParams(k=self.dt if dt is None else dt, fp_tol=self.fp_tol,
                              fp_max_iters=self.fp_max_iters),
-                ModelParams(s=self.s, dealias=self.dealias))
-
-    def with_output_dir(self, output_dir: Path) -> "RunConfig":
-        return replace(self, output_dir=Path(output_dir))
+                ModelParams(s=self.s))
 
 
 def _take(data: dict, out: dict, key: str, kind: Any, where: str = "",
@@ -178,23 +173,22 @@ def load_config(path: Path | str) -> RunConfig:
         raise ParameterError(f"config: invalid JSON in {path}: {err}") from None
     if not isinstance(data, dict):
         raise ParameterError("config: top-level JSON value must be an object")
-    fields: dict[str, Any] = {}
-    _take(data, fields, "L", float, required=True)
-    _take(data, fields, "N", None, required=True)
-    _take(data, fields, "s", float, required=True)
-    _take(data, fields, "dt", float, required=True)
-    _take(data, fields, "T", float, required=True)
-    _take(data, fields, "scheme_p", None, required=True)
-    _take(data, fields, "initial", _parse_initial, required=True)
-    _take(data, fields, "fp_tol", float)
-    _take(data, fields, "fp_max_iters", None)
-    _take(data, fields, "dealias", None)
-    _take(data, fields, "invariant_stride", None)
-    _take(data, fields, "snapshot_stride", None)
-    _take(data, fields, "output_dir", Path)
+    values: dict[str, Any] = {}
+    _take(data, values, "L", float, required=True)
+    _take(data, values, "N", None, required=True)
+    _take(data, values, "s", float, required=True)
+    _take(data, values, "dt", float, required=True)
+    _take(data, values, "T", float, required=True)
+    _take(data, values, "scheme_p", None, required=True)
+    _take(data, values, "initial", _parse_initial, required=True)
+    _take(data, values, "fp_tol", float)
+    _take(data, values, "fp_max_iters", None)
+    _take(data, values, "invariant_stride", None)
+    _take(data, values, "snapshot_stride", None)
+    _take(data, values, "output_dir", Path)
     if data:
         raise ParameterError(f"config: unknown key(s) {sorted(data)}")
-    return RunConfig(**fields)
+    return RunConfig(**values)
 
 
 # --- snapshot container ------------------------------------------------------

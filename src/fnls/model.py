@@ -3,12 +3,11 @@
 The equation i u_t - (-d_xx)^s u + |u|^2 u = 0 on (-L, L) becomes, after
 Fourier collocation in space, the ODE system
 
-    u_t = F(u) = -i (-d_xx)^s u + i P(|u|^2 u)
+    u_t = F(u) = -i (-d_xx)^s u + i |u|^2 u,
 
-where P is either the identity (plain collocation, the default) or the
-2/3-rule dealiasing projection.  This module provides F, the conserved
-functionals (mass, momentum, Hamiltonian), and the a-priori H^s bound
-diagnostic.
+with the cubic term formed pointwise at the nodes.  This module provides
+F, the conserved functionals (mass, momentum, Hamiltonian), and the
+a-priori H^s bound diagnostic.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_flag
-from .spectral import Field, SpectralGrid, check_s, dealias, fractional_laplacian
+from .spectral import Field, SpectralGrid, check_s, fractional_laplacian
 
 __all__ = [
     "ModelParams",
@@ -36,19 +35,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Fractional order s in (0, 1] and the dealiasing switch.
+    """Fractional order s in (0, 1].
 
     ``linear`` is a diagnostic hook that drops the cubic term entirely,
     used to test the integrator against the exactly solvable linear flow.
     """
 
     s: float
-    dealias: bool = False
     linear: bool = False
 
     def __post_init__(self):
         check_s(self.s)
-        check_flag("dealias", self.dealias)
         check_flag("linear", self.linear)
 
 
@@ -81,14 +78,11 @@ def nonlinearity(u: Field) -> Field:
 
 
 def rhs(u: Field, p: ModelParams) -> Field:
-    """Semidiscrete right-hand side F(u) = -i (-d_xx)^s u + i P(|u|^2 u)."""
+    """Semidiscrete right-hand side F(u) = -i (-d_xx)^s u + i |u|^2 u."""
     lap = fractional_laplacian(u, p.s).values
     if p.linear:
         return Field(-1j * lap, u.grid)
-    cubic = nonlinearity(u)
-    if p.dealias:
-        cubic = dealias(cubic)
-    return Field(-1j * lap + 1j * cubic.values, u.grid)
+    return Field(-1j * lap + 1j * nonlinearity(u).values, u.grid)
 
 
 def _power_spectrum(u: Field) -> np.ndarray:

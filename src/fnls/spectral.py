@@ -33,7 +33,6 @@ __all__ = [
     "inverse_transform",
     "fractional_laplacian",
     "derivative",
-    "dealias",
     "l2_norm",
     "hs_norm",
     "linf_norm",
@@ -122,13 +121,6 @@ class SpectralGrid:
         return sym
 
     @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """Boolean mask keeping modes with |k| <= floor(N/3) (2/3 rule)."""
-        mask = np.abs(self.wavenumbers) <= self.N // 3
-        mask.setflags(write=False)
-        return mask
-
-    @cached_property
     def _fractional_symbols(self) -> dict:
         return {}
 
@@ -207,11 +199,6 @@ def derivative(f: Field) -> Field:
     so that mode is dropped to keep real fields real.
     """
     return _apply_symbol(f, f.grid.derivative_symbol)
-
-
-def dealias(f: Field) -> Field:
-    """Zero all modes with |k| > floor(N/3) (the 2/3 rule).  Idempotent."""
-    return _apply_symbol(f, f.grid.dealias_mask)
 
 
 def l2_norm(f: Field) -> float:

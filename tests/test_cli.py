@@ -69,7 +69,7 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     _, stats = fnls.evolve(u0, cfg.T, fnls.yoshida_coefficients(cfg.scheme_p),
                            fnls.SolverParams(k=cfg.dt, fp_tol=cfg.fp_tol,
                                              fp_max_iters=cfg.fp_max_iters),
-                           fnls.ModelParams(s=cfg.s, dealias=cfg.dealias))
+                           fnls.ModelParams(s=cfg.s))
     assert f"fp iterations:       {stats.fp_iterations} (" in stdout
     # and, on the next line, its largest measured contraction
     lines = stdout.splitlines()

@@ -55,7 +55,6 @@ KEYS = {
     "initial": (VALID_INITIAL, BAD_INITIAL),
     "fp_tol": (st.sampled_from([1e-13, 1e-10, 1e-6]), st.sampled_from([0.0, -1.0])),
     "fp_max_iters": (st.integers(1, 60), st.sampled_from([0, -3])),
-    "dealias": (st.booleans(), st.sampled_from([0, 1])),
     "invariant_stride": (st.integers(1, 5), st.sampled_from([0, -1])),
     "snapshot_stride": (st.integers(1, 10), st.sampled_from([0, -1])),
 }
@@ -112,6 +111,23 @@ def test_simulate_exit_code_contract(config):
 @given(config=configs())
 def test_profile_exit_code_contract(config):
     check_contract("profile", config)
+
+
+@pytest.mark.parametrize("dealias", [False, True])
+def test_simulate_rejects_dealias_key(tmp_path, dealias):
+    # the retired 2/3-rule switch is an unknown key: a bad configuration,
+    # never a run that silently ignores it
+    config = {"L": 8 * math.pi, "N": 32, "s": 1.0, "dt": 0.1, "T": 0.2, "scheme_p": 1,
+              "initial": {"kind": "soliton", "lambda1": 1.0}, "dealias": dealias}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["simulate", "--config", str(path), "--output", str(out)])
+    assert code == EXIT_CONFIG
+    assert err.getvalue() == "error: config: unknown key(s) ['dealias']\n"
+    assert not out.exists()
 
 
 # A small valid soliton run; the --dt lists below vary around its T.

@@ -173,34 +173,23 @@ def test_stage_residual_resubstitution():
     assert l2_norm(Field(resid, g)) <= 10 * sp.fp_tol * l2_norm(x_star)
 
 
-def test_stage_residual_resubstitution_dealiased(small_grid):
-    mp = ModelParams(s=0.8, dealias=True)
-    sp = SolverParams(k=2e-2, fp_tol=1e-13)
-    y = smooth_random_field(small_grid, seed=41, bandwidth=8.0)
-    out, _ = imr_stage_solve(y, W1_ORDER4, sp, mp)
-    x_star = Field(0.5 * (out.values + y.values), small_grid)
-    resid = x_star.values - y.values - 0.5 * sp.k * W1_ORDER4 * rhs(x_star, mp).values
-    assert l2_norm(Field(resid, small_grid)) <= 10 * sp.fp_tol * l2_norm(x_star)
-
-
 def reference_step(u, scheme, sp, mp, shift=True):
     """Plain per-stage fixed-point loop: fresh arrays, np.linalg.norm test.
 
-    With ``shift`` the preconditioner is I + i(k b/2)(lam - c P) and the
+    With ``shift`` the preconditioner is I + i(k b/2)(lam - c) and the
     cubic term (|X|^2 - c) X, with c = 2 mean|u|^2 of the step's start
     state; the fixed point is the same either way.  Returns the stage
     values Y_1..Y_q and the iteration count of each stage.
     """
     lam = u.grid.fractional_symbol(mp.s)
-    mask = u.grid.dealias_mask if mp.dealias else 1.0
     c = 2.0 * np.mean(np.abs(u.values) ** 2) if shift else 0.0
     y, y_hat, stages, iters = u.values, np.fft.fft(u.values), [], []
     for b in scheme.b:
         hk = 0.5 * sp.k * b
         x = y
         for it in range(1, sp.fp_max_iters + 1):
-            g_hat = np.fft.fft((np.abs(x) ** 2 - c) * x) * mask
-            x_hat = (y_hat + 1j * hk * g_hat) / (1.0 + 1j * hk * (lam - c * mask))
+            g_hat = np.fft.fft((np.abs(x) ** 2 - c) * x)
+            x_hat = (y_hat + 1j * hk * g_hat) / (1.0 + 1j * hk * (lam - c))
             x_new = np.fft.ifft(x_hat)
             done = np.linalg.norm(x_new - x) <= sp.fp_tol * np.linalg.norm(x_new)
             x = x_new
@@ -212,13 +201,12 @@ def reference_step(u, scheme, sp, mp, shift=True):
     return stages, iters
 
 
-@pytest.mark.parametrize("dealias", [False, True])
 @pytest.mark.parametrize("s", [0.6, 1.0])
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("N", [64, 96])   # 1/N is inexact on the 96-point grid
-def test_step_matches_reference_loop(N, p, s, dealias):
+def test_step_matches_reference_loop(N, p, s):
     grid = SpectralGrid(N, np.pi)
-    mp = ModelParams(s=s, dealias=dealias)
+    mp = ModelParams(s=s)
     sp = SolverParams(k=2e-2, fp_tol=1e-13)
     scheme = yoshida_coefficients(p)
     u = smooth_random_field(grid, seed=37, amplitude=1.5)
@@ -228,11 +216,10 @@ def test_step_matches_reference_loop(N, p, s, dealias):
     assert l2_norm(Field(out.values - stages[-1], grid)) <= 10 * sp.fp_tol * l2_norm(u)
 
 
-@pytest.mark.parametrize("dealias", [False, True])
 @pytest.mark.parametrize("s", [0.6, 1.0])
-def test_mean_field_shift_keeps_stage_values(small_grid, s, dealias):
+def test_mean_field_shift_keeps_stage_values(small_grid, s):
     # the shift changes the path to each stage's fixed point, not the point
-    mp = ModelParams(s=s, dealias=dealias)
+    mp = ModelParams(s=s)
     sp = SolverParams(k=2e-2, fp_tol=1e-13)
     scheme = yoshida_coefficients(2)
     u = smooth_random_field(small_grid, seed=37, amplitude=1.5)
@@ -360,9 +347,8 @@ def test_predictor_rotation_is_soliton_rotation(monkeypatch):
     assert deviations[0] >= 16 * deviations[1]
 
 
-@pytest.mark.parametrize("dealias", [False, True])
 @pytest.mark.parametrize("N", [64, 96])     # 2N is not a power of two at N = 96
-def test_evolve_records_nonlinear_parts(N, dealias, monkeypatch):
+def test_evolve_records_nonlinear_parts(N, monkeypatch):
     # the kernel writes gain_j F of each iterate straight into the
     # predictor's history; what stays there is the nonlinear part of the
     # stage midpoint, Z* - pre_j fft(Y_{j-1}), with Z* = 2 fft(X*) and
@@ -376,7 +362,7 @@ def test_evolve_records_nonlinear_parts(N, dealias, monkeypatch):
 
     monkeypatch.setattr(integrators, "_extrapolate", kept)
     grid = SpectralGrid(N, np.pi)
-    mp = ModelParams(s=0.8, dealias=dealias)
+    mp = ModelParams(s=0.8)
     sp = SolverParams(k=2e-2, fp_tol=1e-13)
     scheme = yoshida_coefficients(2)
     u = smooth_random_field(grid, seed=37, amplitude=1.5)
@@ -385,7 +371,7 @@ def test_evolve_records_nonlinear_parts(N, dealias, monkeypatch):
     history = histories[0]
     lam = grid.fractional_symbol(mp.s)
     c = 2.0 * np.mean(np.abs(u.values) ** 2)
-    shifted = lam - c * (grid.dealias_mask if dealias else 1.0)
+    shifted = lam - c
     for m in (4, 5, 6):         # the three steps history holds
         _, start = states.records[m - 1]
         stages, _ = reference_step(start, scheme, sp, mp)
@@ -540,13 +526,12 @@ def test_evolve_carries_coefficients(small_grid, monkeypatch, stride):
     assert calls[0] == 2 * total_iters + 2 + observed
 
 
-@pytest.mark.parametrize("dealias", [False, True])
 @pytest.mark.parametrize("s", [0.6, 1.0])
 @pytest.mark.parametrize("p", [1, 2])
-def test_evolve_predictor_matches_step_loop(small_grid, p, s, dealias):
+def test_evolve_predictor_matches_step_loop(small_grid, p, s):
     # step has no predictor: the states agree to the stopping tolerance,
     # and evolve needs fewer iterations to get there
-    mp = ModelParams(s=s, dealias=dealias)
+    mp = ModelParams(s=s)
     sp = SolverParams(k=2e-2, fp_tol=1e-13)
     scheme = yoshida_coefficients(p)
     u = smooth_random_field(small_grid, seed=37, amplitude=1.5)

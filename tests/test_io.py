@@ -69,11 +69,10 @@ def test_load_config_round_trip(tmp_path):
 
 
 def test_load_config_optional_fields(tmp_path):
-    data = {**GOOD_CONFIG, "fp_tol": 1e-11, "dealias": True,
-            "invariant_stride": 10, "output_dir": "out"}
+    data = {**GOOD_CONFIG, "fp_tol": 1e-11, "invariant_stride": 10,
+            "output_dir": "out"}
     config = load_config(write_config(tmp_path, data))
     assert config.fp_tol == 1e-11
-    assert config.dealias is True
     assert config.invariant_stride == 10
     assert config.output_dir == Path("out")
 
@@ -104,6 +103,7 @@ def test_load_config_initial_kinds(tmp_path):
 # else the prefix given here.
 ERROR_PREFIXES = {
     "mystery": r"config: unknown key\(s\) \['mystery'\]",
+    "dealias": r"config: unknown key\(s\) \['dealias'\]",
     "hue": r"initial: unknown key\(s\) \['hue'\]",
     "kind": r"initial\.kind:",
     "lambda": r"initial\.lambda1: must exceed lambda2\^2/4 = 0\.25, got 0\.2$",
@@ -131,7 +131,10 @@ ERROR_PREFIXES = {
     (lambda d: d.update(fp_max_iters=0), "fp_max_iters"),
     (lambda d: d.update(invariant_stride=0), "invariant_stride"),
     (lambda d: d.update(snapshot_stride=0), "snapshot_stride"),
-    (lambda d: d.update(dealias=1), "dealias"),
+    # the 2/3-rule switch is gone; a file that still sets it, even to its
+    # old default, is rejected rather than run as plain collocation
+    (lambda d: d.update(dealias=False), "dealias"),
+    pytest.param(lambda d: d.update(dealias=True), "dealias", id="dealias=true"),
     (lambda d: d.update(output_dir=3), "output_dir"),
     (lambda d: d.update(mystery=1), "mystery"),
     (lambda d: d.update(initial={"kind": "soliton", "lambda1": 1.0, "hue": 2}), "hue"),
@@ -162,8 +165,6 @@ def test_load_config_errors_name_the_field(tmp_path, mutate, needle):
     ("fp_max_iters", 2.5, "fp_max_iters"),
     ("invariant_stride", 2.5, "invariant_stride"),
     ("snapshot_stride", "10", "snapshot_stride"),
-    ("dealias", "yes", "dealias"),
-    ("dealias", 1, "dealias"),
 ])
 def test_validate_rejects_mistyped_counts_and_flags(field, value, needle):
     # configs built in Python skip the JSON parser; construction checks
@@ -177,7 +178,7 @@ def test_validate_rejects_mistyped_counts_and_flags(field, value, needle):
 def test_validate_accepts_numpy_integers_and_booleans():
     RunConfig(L=np.pi, N=np.int64(64), s=0.75, dt=1e-2, T=0.1,
               scheme_p=np.int32(2), initial=SolitonInitial(lambda1=1.0),
-              fp_max_iters=np.int64(50), dealias=np.bool_(True))
+              fp_max_iters=np.int64(50))
 
 
 def test_validate_rejects_unaddressable_numpy_N():
@@ -193,8 +194,7 @@ def test_validate_rejects_unaddressable_numpy_N():
     (lambda v: ModelParams(s=v), "s", 1.5),
     (lambda v: SolverParams(1e-2, fp_tol=v), "fp_tol", math.inf),
     (lambda v: SolverParams(1e-2, fp_max_iters=v), "fp_max_iters", 2.5),
-    (lambda v: ModelParams(s=0.75, dealias=v), "dealias", "no"),
-], ids=["N", "L", "s", "fp_tol", "fp_max_iters", "dealias"])
+], ids=["N", "L", "s", "fp_tol", "fp_max_iters"])
 def test_component_and_config_give_one_message(build, field, value):
     # each fact has one check: the component that takes a value and the
     # RunConfig field that feeds it reject the same bad value in one wording
@@ -246,11 +246,11 @@ def test_initial_data_is_validated_at_construction(build, message):
 def test_run_config_problem():
     config = RunConfig(L=np.pi, N=64, s=0.75, dt=1e-2, T=0.1, scheme_p=2,
                        initial=SolitonInitial(lambda1=1.0), fp_tol=1e-11,
-                       fp_max_iters=50, dealias=True)
+                       fp_max_iters=50)
     scheme, sp, mp = config.problem()
     assert scheme == yoshida_coefficients(2)
     assert sp == SolverParams(k=1e-2, fp_tol=1e-11, fp_max_iters=50)
-    assert mp == ModelParams(s=0.75, dealias=True)
+    assert mp == ModelParams(s=0.75)
     assert config.problem(dt=5e-3)[1] == SolverParams(k=5e-3, fp_tol=1e-11,
                                                       fp_max_iters=50)
 
@@ -272,13 +272,17 @@ def test_load_config_malformed_json(tmp_path):
         load_config(tmp_path / "a\0b")
 
 
-def test_run_config_with_output_dir():
+def test_run_config_replace_revalidates():
+    # the CLI's --output goes through dataclasses.replace, which re-runs
+    # the construction checks on every field
     config = RunConfig(L=np.pi, N=64, s=1.0, dt=1e-2, T=0.1, scheme_p=1,
                        initial=SolitonInitial(lambda1=1.0))
-    replaced = config.with_output_dir(Path("elsewhere"))
+    replaced = replace(config, output_dir=Path("elsewhere"))
     assert replaced.output_dir == Path("elsewhere")
     assert replaced.dt == config.dt
     assert config.output_dir == Path(".")
+    with pytest.raises(ParameterError, match="^dt:"):
+        replace(config, dt=0.3)
 
 
 def test_snapshot_round_trip_bit_exact(tmp_path, small_grid):

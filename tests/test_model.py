@@ -9,7 +9,6 @@ from fnls import (
     ParameterError,
     SolitonParams,
     SpectralGrid,
-    dealias,
     fractional_laplacian,
     hamiltonian,
     hs_bound_diagnostic,
@@ -27,18 +26,18 @@ from conftest import smooth_random_field
 
 def test_model_params_validation():
     ModelParams(s=1.0)
-    ModelParams(s=0.25, dealias=True, linear=True)
+    ModelParams(s=0.25, linear=True)
     for s in (0.0, -0.5, 1.5):
         with pytest.raises(ParameterError):
             ModelParams(s=s)
 
 
 @pytest.mark.parametrize("field,value,ok", [
-    ("linear", 1, False), ("dealias", np.bool_(True), True), ("linear", np.bool_(True), True),
+    ("linear", 1, False), ("linear", "no", False), ("linear", np.bool_(True), True),
 ])
 def test_model_params_flags_are_booleans(field, value, ok):
-    # a truthy non-boolean would drop the cubic term; dealias="no" is
-    # test_io's test_component_and_config_give_one_message case
+    # a truthy non-boolean would drop the cubic term: linear="no" must not
+    # read as true
     if ok:
         assert getattr(ModelParams(s=0.8, **{field: value}), field)
     else:
@@ -64,12 +63,9 @@ def test_rhs_plane_wave_balance(s, m, c):
 
 
 @pytest.mark.parametrize("s", [0.6, 1.0])
-@pytest.mark.parametrize("use_dealias", [False, True])
-def test_rhs_mass_production_vanishes(small_grid, s, use_dealias):
+def test_rhs_mass_production_vanishes(small_grid, s):
     u = smooth_random_field(small_grid, seed=21, bandwidth=3.0)
-    if use_dealias:
-        u = dealias(u)
-    f = rhs(u, ModelParams(s=s, dealias=use_dealias))
+    f = rhs(u, ModelParams(s=s))
     production = np.real(np.sum(f.values * np.conj(u.values)))
     scale = max(1.0, l2_norm(f) * l2_norm(u) / small_grid.h)
     assert abs(production) <= 1e-13 * scale

@@ -14,7 +14,7 @@ STABLE_EXPORTS = {
     "RunStats", "Snapshot", "SnapshotWriter", "SolitonInitial", "SolitonParams",
     "SolverParams", "SpectralGrid", "StageDivergenceError", "TrackRecord",
     "TrackingError", "WaveTracker", "build_initial_field", "component_errors",
-    "convergence_study", "dealias", "derivative", "error_growth_study", "evolve",
+    "convergence_study", "derivative", "error_growth_study", "evolve",
     "exact_step_count", "forward_transform", "fractional_laplacian", "hamiltonian",
     "hs_bound_diagnostic", "hs_norm", "imr_stage_solve", "invariant_drift_study",
     "invariants", "inverse_transform", "l2_norm", "linf_norm", "load_config", "mass",

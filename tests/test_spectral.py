@@ -8,7 +8,6 @@ from fnls import (
     Field,
     ParameterError,
     SpectralGrid,
-    dealias,
     derivative,
     forward_transform,
     fractional_laplacian,
@@ -180,25 +179,6 @@ def test_fractional_laplacian_rejects_bad_s(small_grid, s):
     u = Field(np.ones(small_grid.N), small_grid)
     with pytest.raises(ParameterError):
         fractional_laplacian(u, s)
-
-
-def test_dealias_projector(small_grid):
-    u = smooth_random_field(small_grid, seed=7, bandwidth=40.0)  # broadband
-    once = dealias(u)
-    twice = dealias(once)
-    np.testing.assert_allclose(twice.values, once.values, atol=1e-14)
-    c = forward_transform(once).modes
-    cutoff = small_grid.N // 3
-    assert np.max(np.abs(c[np.abs(small_grid.wavenumbers) > cutoff])) <= 1e-15
-    c0 = forward_transform(u).modes
-    keep = np.abs(small_grid.wavenumbers) <= cutoff
-    np.testing.assert_allclose(c[keep], c0[keep], atol=1e-14)
-
-
-def test_dealias_identity_on_bandlimited(small_grid):
-    u = smooth_random_field(small_grid, seed=9, bandwidth=2.0)
-    u = dealias(u)
-    np.testing.assert_allclose(dealias(u).values, u.values, atol=1e-14)
 
 
 def test_l2_norm_constant(small_grid):
