@@ -272,7 +272,7 @@ def test_load_config_malformed_json(tmp_path):
         load_config(tmp_path / "a\0b")
 
 
-def test_run_config_replace_revalidates():
+def test_run_config_with_output_dir():
     # the CLI's --output goes through dataclasses.replace, which re-runs
     # the construction checks on every field
     config = RunConfig(L=np.pi, N=64, s=1.0, dt=1e-2, T=0.1, scheme_p=1,
