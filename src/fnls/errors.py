@@ -70,8 +70,8 @@ def check_positive_finite(name: str, value) -> None:
 
 
 class StageDivergenceError(FnlsError, RuntimeError):
-    """The fixed-point iteration of an implicit midpoint stage failed to
-    converge within the iteration cap.
+    """The fixed-point iteration of an implicit midpoint stage overflowed
+    or did not converge within the iteration cap.
 
     Attributes
     ----------
@@ -80,18 +80,26 @@ class StageDivergenceError(FnlsError, RuntimeError):
     iterations : int
         Number of iterations performed.
     residual : float
-        Last relative successive-difference norm.
+        Last relative successive-difference norm (inf on overflow).
+    contraction : float
+        Largest contraction ratio ||dZ_n|| / ||dZ_{n-1}|| the failing solve
+        measured: inf if the iterate overflowed, 0.0 before a second sweep.
+    kb : float
+        The stage's substep length k b_j.
     step_index : int or None
         Step number within an evolve run, filled in by the driver.
     time : float or None
         Simulation time at the start of the failing step.
     """
 
-    def __init__(self, stage_index: int, iterations: int, residual: float):
-        super().__init__(stage_index, iterations, residual)
+    def __init__(self, stage_index: int, iterations: int, residual: float,
+                 contraction: float, kb: float):
+        super().__init__(stage_index, iterations, residual, contraction, kb)
         self.stage_index = stage_index
         self.iterations = iterations
         self.residual = residual
+        self.contraction = contraction
+        self.kb = kb
         self.step_index: int | None = None
         self.time: float | None = None
 
@@ -103,9 +111,12 @@ class StageDivergenceError(FnlsError, RuntimeError):
     def __str__(self) -> str:
         where = ("" if self.step_index is None
                  else f" (step {self.step_index}, t = {self.time:.6g})")
-        return (f"fixed-point stage solve diverged at stage {self.stage_index}: "
-                f"residual {self.residual:.3e} after {self.iterations} "
-                f"iterations{where}")
+        count = f"{self.iterations} iteration{'' if self.iterations == 1 else 's'}"
+        outcome = (f"overflowed after {count}" if math.isinf(self.contraction)
+                   else f"hit the iteration cap: residual {self.residual:.3e} after {count}")
+        return (f"fixed-point stage solve at stage {self.stage_index} {outcome}; "
+                f"largest contraction {self.contraction:.3g} at k*b_j = {self.kb:.3g}"
+                f"{where}")
 
 
 class ProfileDivergenceError(FnlsError, RuntimeError):

@@ -22,8 +22,9 @@ Sweep n >= 2 stops when ||Z_n - Z_{n-1}|| <= fp_tol ||Z_n||, the first
 sweep when eta_j ||Z_1 - Z_0|| <= fp_tol ||Z_1||, with
 eta_j = max(0.01, theta / (1 - theta)) for the largest contraction ratio
 theta of stage j's last solve of two or more sweeps (eta_j = 1 before
-one, and when theta >= 1/2).  README "Solver" gives the rationale and
-the measurements.
+one, and when theta >= 1/2).  ||Z_n|| is read only where the test can
+pass: ||Z_r|| + sum_{m=r+1..n} ||Z_m - Z_{m-1}||, r the last sweep that
+read it, bounds it.  README "Solver" gives the rationale and measurements.
 
 References: Hairer, Lubich & Wanner, Geometric Numerical Integration,
 II.4 and VIII.6 (compositions, starting approximations); Hairer & Wanner,
@@ -153,7 +154,13 @@ class _StepContext:
                  sp: SolverParams, mp: ModelParams, u_hat: np.ndarray):
         N = grid.N
         self.tol, self.max_iters = sp.fp_tol, sp.fp_max_iters
-        self.inverse_scale = 0.5 / N    # X = ifft(Z) / (2 N)
+        # the stop test's margin against a bound on ||Z_n|| (_stage_solve):
+        # computed norms, and sums of n of them, err by at most about
+        # (N + n) 2^-53 relative (Higham, Accuracy and Stability of
+        # Numerical Algorithms, 3.1, 4.2); 1e-9 is 4 times that up to
+        # N + fp_max_iters = 2.2e6, beyond which the margin grows with N
+        self.lazy_tol = sp.fp_tol * (1.0 + max(1e-9, (N + sp.fp_max_iters) * 2.0 ** -51))
+        self.inverse_scale = np.array(0.5 / N)      # X = ifft(Z) / (2 N)
         # mean-field shift c = 2 mean|u|^2, by Parseval; kept as a complex
         # 0-d array, which the cubic term subtracts without a conversion
         shift = 0.0 if mp.linear else 2.0 * np.vdot(u_hat, u_hat).real / N ** 2
@@ -169,8 +176,8 @@ class _StepContext:
                 pre += 0.5
                 np.reciprocal(pre, out=pre)
                 gain = np.zeros_like(pre) if mp.linear else ihk * pre
-                tables[bj] = pre, gain
-        self.stages = [tables[bj] for bj in b]      # (pre_j, gain_j)
+                tables[bj] = pre, gain, sp.k * bj
+        self.stages = [tables[bj] for bj in b]      # (pre_j, gain_j, k b_j)
         # eta[j - 1]: weight of stage j's first-sweep error estimate, 1.0
         # until a solve of two or more sweeps has measured its contraction
         self.eta = [1.0] * len(b)
@@ -181,9 +188,12 @@ class _StepContext:
         self.base = np.empty(N, dtype=complex)      # pre_j fft(Y_prev)
 
 
-# factors of 3 w (g1 - w (g2 - w g3 / 3)), as complex 0-d arrays, which a
-# ufunc takes without the conversion a Python scalar costs each call
+# factors of 3 w (g1 - w (g2 - w g3 / 3)), as complex 0-d arrays, and the
+# forward transform's scale, which a ufunc takes without the conversion a
+# Python scalar costs each call; ufuncs take out positionally for the same
+# reason, except np.maximum, whose positional out numpy 2.4 deprecates
 THIRD, THREE = (np.array(f, dtype=complex) for f in (1.0 / 3.0, 3.0))
+ONE = np.array(1.0)
 TINY = np.array(np.finfo(float).tiny)
 
 
@@ -193,21 +203,21 @@ def _extrapolate(history: np.ndarray, n: int, w: np.ndarray, scale: np.ndarray) 
     history[(m - 1) % 3, j - 1] holds stage j's converged g in step m.
     w and scale are (q, N) work arrays."""
     g1, g2, acc = (history[(n - 1 - i) % 3] for i in (1, 2, 3))
-    np.conjugate(g2, out=w)
-    np.multiply(w, g1, out=w)
+    np.conjugate(g2, w)
+    np.multiply(w, g1, w)
     # w / |w|, and 0 where w is exactly 0: 0 / tiny, not 0 / 0 (np.sign
     # does both, but took 12 times as long as np.abs at q N = 12288)
-    np.abs(w, out=scale)
+    np.abs(w, scale)
     np.maximum(scale, TINY, out=scale)
-    np.reciprocal(scale, out=scale)
-    np.multiply(w, scale, out=w)
-    np.multiply(acc, w, out=acc)
-    np.multiply(acc, THIRD, out=acc)
-    np.subtract(g2, acc, out=acc)
-    np.multiply(acc, w, out=acc)
-    np.subtract(g1, acc, out=acc)
-    np.multiply(acc, w, out=acc)
-    np.multiply(acc, THREE, out=acc)
+    np.reciprocal(scale, scale)
+    np.multiply(w, scale, w)
+    np.multiply(acc, w, acc)
+    np.multiply(acc, THIRD, acc)
+    np.subtract(g2, acc, acc)
+    np.multiply(acc, w, acc)
+    np.subtract(g1, acc, acc)
+    np.multiply(acc, w, acc)
+    np.multiply(acc, THREE, acc)
 
 
 # Diverging stage iterates may overflow before the iteration cap trips;
@@ -227,49 +237,58 @@ def _stage_solve(ctx: _StepContext, stage_index: int, y_hat: np.ndarray,
     y_hat is not written, and out must be distinct from the other arrays.
     evolve, the one caller, holds the _QUIET_OVERFLOW scope.
     """
-    pre, gain = ctx.stages[stage_index - 1]
+    pre, gain, kb = ctx.stages[stage_index - 1]
     eta = ctx.eta[stage_index - 1]
     x, work, base, shift = ctx.x, ctx.work, ctx.base, ctx.shift
+    tol, lazy_tol, scale, max_iters = ctx.tol, ctx.lazy_tol, ctx.inverse_scale, ctx.max_iters
     z, z_next = ctx.z
-    np.multiply(pre, y_hat, out=base)
+    np.multiply(pre, y_hat, base)
     if predicted:
-        np.add(base, g, out=z)
+        np.add(base, g, z)
     else:
-        np.add(y_hat, y_hat, out=z)
-    ifft(z, ctx.inverse_scale, out=x)
-    diff, norm, theta = math.inf, 0.0, 0.0
-    for it in range(1, ctx.max_iters + 1):
-        np.conjugate(x, out=work)
-        np.multiply(work, x, out=work)
-        np.subtract(work, shift, out=work)
-        np.multiply(work, x, out=work)
-        fft(work, 1.0, out=g)
-        np.multiply(g, gain, out=g)
-        np.add(g, base, out=z_next)
-        np.subtract(z_next, z, out=work)
+        np.add(y_hat, y_hat, z)
+    ifft(z, scale, x)
+    diff, bound, theta = math.inf, math.inf, 0.0
+    for it in range(1, max_iters + 1):
+        np.conjugate(x, work)
+        np.multiply(work, x, work)
+        np.subtract(work, shift, work)
+        np.multiply(work, x, work)
+        fft(work, ONE, g)
+        np.multiply(g, gain, g)
+        np.add(g, base, z_next)
+        np.subtract(z_next, z, work)
         prev, diff = diff, math.sqrt(np.vdot(work, work).real)
-        norm = math.sqrt(np.vdot(z_next, z_next).real)
         z, z_next = z_next, z
-        if not math.isfinite(norm):
-            # overflow: bail out now, the tolerance test would be
-            # vacuous (inf <= fp_tol * inf)
-            raise StageDivergenceError(stage_index, it, math.inf)
         # this sweep's contraction: 0 at the first (prev = inf); later,
         # prev > 0, as a sweep that changed nothing has already stopped
         ratio = diff / prev
         if ratio > theta:
             theta = ratio
-        if eta * diff <= ctx.tol * norm:
-            np.subtract(z, y_hat, out=out)
-            if it > 1:
-                ctx.eta[stage_index - 1] = (max(0.01, theta / (1.0 - theta))
-                                            if theta < 0.5 else 1.0)
-                ctx.max_contraction = max(ctx.max_contraction, theta)
-            return it
+        # bound >= ||Z_n||: the last norm read plus the increments since
+        # (inf before the first read).  A sweep whose increment fails the
+        # stop test against it, with lazy_tol's rounding margin, cannot stop
+        # and skips the read; a non-finite increment compares false and
+        # reads, so an overflowing iterate fails as before
+        bound += diff
+        if not eta * diff > lazy_tol * bound:
+            bound = norm = math.sqrt(np.vdot(z, z).real)
+            if not math.isfinite(norm):
+                # overflow: bail out now, the tolerance test would be
+                # vacuous (inf <= fp_tol * inf)
+                raise StageDivergenceError(stage_index, it, math.inf, math.inf, kb)
+            if eta * diff <= tol * norm:
+                np.subtract(z, y_hat, out)
+                if it > 1:
+                    ctx.eta[stage_index - 1] = (max(0.01, theta / (1.0 - theta))
+                                                if theta < 0.5 else 1.0)
+                    ctx.max_contraction = max(ctx.max_contraction, theta)
+                return it
         eta = 1.0       # later sweeps keep the plain increment test
-        ifft(z, ctx.inverse_scale, out=x)
+        ifft(z, scale, x)
+    norm = math.sqrt(np.vdot(z, z).real)
     residual = diff / norm if norm > 0.0 else math.inf
-    raise StageDivergenceError(stage_index, ctx.max_iters, residual)
+    raise StageDivergenceError(stage_index, max_iters, residual, theta, kb)
 
 
 def step(U_n: Field, scheme: CompositionScheme, sp: SolverParams,

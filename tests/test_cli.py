@@ -157,9 +157,25 @@ def test_simulate_iteration_cap_exit_code(tmp_path, capsys):
     config = write_config(tmp_path, {**SIM_CONFIG, "fp_max_iters": 1})
     code = main(["simulate", "--config", str(config), "--output", str(tmp_path)])
     assert code == EXIT_NUMERICAL
-    assert re.fullmatch(r"error: fixed-point stage solve diverged at stage 1: "
-                        r"residual \d\.\d{3}e-\d\d after 1 iterations "
-                        r"\(step 1, t = 0\)\n", capsys.readouterr().err)
+    # one sweep measures no contraction; k*b_1 = 0.0125 * 1.3512...
+    assert re.fullmatch(r"error: fixed-point stage solve at stage 1 hit the iteration "
+                        r"cap: residual \d\.\d{3}e-\d\d after 1 iteration; largest "
+                        r"contraction 0 at k\*b_j = 0\.0169 \(step 1, t = 0\)\n",
+                        capsys.readouterr().err)
+
+
+def test_simulate_slow_contraction_exit_message(tmp_path, capsys):
+    # a stage that contracts too slowly for the cap, not one that blows
+    # up: the message says which, with the measured contraction and k*b_j
+    config = write_config(tmp_path, {
+        "L": 5, "N": 8, "s": 0.6, "dt": 0.5, "T": 1, "scheme_p": 6,
+        "initial": {"kind": "petviashvili", "lambda1": 1.0, "lambda2": 0.0}})
+    code = main(["simulate", "--config", str(config), "--output", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    assert re.fullmatch(r"error: fixed-point stage solve at stage 1 hit the iteration "
+                        r"cap: residual \d\.\d{3}e-\d\d after 200 iterations; largest "
+                        r"contraction \d\.\d+ at k\*b_j = 1\.03 \(step 1, t = 0\)\n",
+                        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("key, value", [

@@ -31,6 +31,7 @@ from fnls import (
 )
 from fnls import integrators
 from fnls.integrators import MAX_COMPOSITION_LEVEL
+from fnls.spectral import fft, ifft
 from conftest import smooth_random_field
 
 W1_ORDER4 = 1.3512071919596578
@@ -554,6 +555,125 @@ def test_evolve_predictor_matches_step_loop(small_grid, p, s):
     assert round(stats.mean_fp_iterations * M * scheme.q) < loop_iters
 
 
+def _eager_stage_solve(ctx, stage_index, y_hat, out, g, predicted):
+    """integrators._stage_solve with ||Z_n|| read on every sweep: the stop
+    rule eta ||Z_n - Z_{n-1}|| <= fp_tol ||Z_n|| as stated, in fresh arrays
+    and with Python-float transform scales."""
+    pre, gain, kb = ctx.stages[stage_index - 1]
+    eta = ctx.eta[stage_index - 1]
+    N = y_hat.size
+    base = pre * y_hat
+    z = base + g if predicted else y_hat + y_hat
+    diff, theta = math.inf, 0.0
+    for it in range(1, ctx.max_iters + 1):
+        x = ifft(z, 0.5 / N, out=np.empty(N, dtype=complex))
+        cubic = (np.conjugate(x) * x - ctx.shift) * x
+        g[:] = fft(cubic, 1.0, out=np.empty(N, dtype=complex)) * gain
+        z_next = g + base
+        prev, diff = diff, math.sqrt(np.vdot(z_next - z, z_next - z).real)
+        norm = math.sqrt(np.vdot(z_next, z_next).real)
+        z = z_next
+        if not math.isfinite(norm):
+            raise StageDivergenceError(stage_index, it, math.inf, math.inf, kb)
+        theta = max(theta, diff / prev)
+        if eta * diff <= ctx.tol * norm:
+            out[:] = z - y_hat
+            if it > 1:
+                ctx.eta[stage_index - 1] = (max(0.01, theta / (1.0 - theta))
+                                            if theta < 0.5 else 1.0)
+                ctx.max_contraction = max(ctx.max_contraction, theta)
+            return it
+        eta = 1.0
+    residual = diff / norm if norm > 0.0 else math.inf
+    raise StageDivergenceError(stage_index, ctx.max_iters, residual, theta, kb)
+
+
+class _CountingNumpy:
+    """numpy, with the calls of np.vdot counted."""
+
+    def __init__(self):
+        self.vdots = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def vdot(self, a, b):
+        self.vdots += 1
+        return np.vdot(a, b)
+
+
+def _outcome(kernel, u, T, scheme, sp, mp):
+    """evolve's final values, stage counts and contraction with the given
+    stage kernel, or the fields of its StageDivergenceError; and the
+    number of np.vdot calls the module made."""
+    counting = _CountingNumpy()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(integrators, "_stage_solve", kernel)
+        patch.setattr(integrators, "np", counting)
+        try:
+            out, stats = evolve(u, T, scheme, sp, mp)
+        except StageDivergenceError as err:
+            return ((err.stage_index, err.iterations, err.residual, err.contraction,
+                     err.kb, err.step_index), counting.vdots)
+    return (out.values.tobytes(), stats.stage_iterations, stats.max_contraction), counting.vdots
+
+
+def _lazy_and_eager(*run):
+    """The module kernel's outcome and vdot count, once it has matched the
+    eager copy's outcome bit for bit."""
+    (lazy, vdots), (eager, _) = (_outcome(kernel, *run)
+                                 for kernel in (integrators._stage_solve, _eager_stage_solve))
+    assert lazy == eager
+    return lazy, vdots
+
+
+@pytest.mark.parametrize("k, s, amplitude, bandwidth, seed", [
+    (0.025, 0.55, 1.0, 4.0, 17), (0.025, 1.0, 1.0, 4.0, 17),
+    # theta 0.86: ||Z_n|| moves enough within a stage that a bound without
+    # the increments since the last read skipped a read the test needed
+    (0.2, 1.0, 1.5, 3.0, 3)])
+def test_lazy_norm_read_decides_as_eager_rule(k, s, amplitude, bandwidth, seed):
+    # predicted stages of several sweeps on ensemble_small_n's grid: most
+    # sweeps skip the ||Z_n|| read, yet every decision is the same
+    grid = SpectralGrid(128, np.pi)
+    u = smooth_random_field(grid, seed=seed, amplitude=amplitude, bandwidth=bandwidth)
+    sp, scheme = SolverParams(k=k), yoshida_coefficients(2)
+    lazy, vdots = _lazy_and_eager(u, 40 * sp.k, scheme, sp, ModelParams(s=s))
+    sweeps = sum(lazy[1])
+    assert sweeps >= 4 * 40 * scheme.q
+    # one vdot for the mean-field shift and one per sweep for ||dZ_n||
+    norm_reads = vdots - 1 - sweeps
+    assert norm_reads <= 0.5 * sweeps
+
+
+def test_lazy_norm_read_on_one_sweep_stages():
+    # the README soliton: most predicted stages stop after one sweep,
+    # which always reads ||Z_1||
+    grid = SpectralGrid(512, 16 * np.pi)
+    u = nls_soliton(grid, 0.0, SolitonParams(1.0, 0.25))
+    sp, scheme = SolverParams(k=1.25e-2), yoshida_coefficients(2)
+    lazy, _ = _lazy_and_eager(u, 100 * sp.k, scheme, sp, ModelParams(s=1.0))
+    assert sum(lazy[1]) <= 1.5 * 100 * scheme.q
+
+
+@pytest.mark.parametrize("k, max_iters", [(0.05, 1), (0.25, 3)])
+def test_lazy_norm_read_keeps_the_cap_residual(small_grid, k, max_iters):
+    # a capped stage reports the residual ||dZ|| / ||Z|| of its last
+    # iterate, read or not by the last sweep, and the same contraction
+    u = smooth_random_field(small_grid, seed=7)
+    lazy, _ = _lazy_and_eager(u, 0.5, yoshida_coefficients(2),
+                              SolverParams(k=k, fp_max_iters=max_iters), ModelParams(s=0.8))
+    assert lazy[:2] == (1, max_iters)
+
+
+def test_lazy_norm_read_keeps_the_overflow_route():
+    grid = SpectralGrid(512, 16 * np.pi)
+    u = nls_soliton(grid, 0.0, SolitonParams(1.0, 0.25))
+    lazy, _ = _lazy_and_eager(u, 5.0, yoshida_coefficients(2),
+                              SolverParams(k=2.5, fp_max_iters=50), ModelParams(s=1.0))
+    assert lazy[3] == math.inf
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_stage_norm_preservation(small_grid, seed):
     mp = ModelParams(s=0.75)
@@ -726,7 +846,10 @@ def test_stage_divergence_raises_and_annotates():
     assert 1 <= err.iterations <= 50
     assert err.step_index == 1
     assert err.time == 0.0
-    assert "stage" in str(err)
+    # the iterate overflowed: its contraction is inf, and the message says so
+    assert err.contraction == math.inf
+    assert err.kb == 2.5 * yoshida_coefficients(2).b[err.stage_index - 1]
+    assert f"stage {err.stage_index} overflowed after {err.iterations} iteration" in str(err)
 
 
 def test_stage_iteration_cap_raises_with_finite_residual(small_grid):
@@ -738,13 +861,30 @@ def test_stage_iteration_cap_raises_with_finite_residual(small_grid):
     err = info.value
     assert (err.stage_index, err.iterations, err.step_index, err.time) == (1, 1, 1, 0.0)
     assert 0.0 < err.residual < math.inf
+    # one sweep measures no contraction
+    assert (err.contraction, err.kb) == (0.0, 0.05 * W1_ORDER4)
+    assert " hit the iteration cap: " in str(err)
+    assert " after 1 iteration; largest contraction 0 at k*b_j = 0.0676 " in str(err)
+
+
+def test_stage_iteration_cap_reports_measured_contraction(small_grid):
+    u = smooth_random_field(small_grid, seed=7)
+    with pytest.raises(StageDivergenceError) as info:
+        evolve(u, 0.5, yoshida_coefficients(2), SolverParams(k=0.25, fp_max_iters=3),
+               ModelParams(s=0.8))
+    err = info.value
+    assert 0.0 < err.contraction < 1.0
+    assert (f"after 3 iterations; largest contraction {err.contraction:.3g} "
+            f"at k*b_j = {0.25 * W1_ORDER4:.3g} (step 1, t = 0)") in str(err)
 
 
 def test_stage_divergence_pickles():
-    err = StageDivergenceError(stage_index=1, iterations=7, residual=2.5)
+    err = StageDivergenceError(stage_index=1, iterations=7, residual=2.5,
+                               contraction=0.75, kb=0.125)
     err.annotate(step_index=3, time=0.75)
     back = pickle.loads(pickle.dumps(err))
     assert back.stage_index == 1 and back.iterations == 7
+    assert back.contraction == 0.75 and back.kb == 0.125
     assert back.step_index == 3 and back.time == 0.75
     assert str(back) == str(err)
 
