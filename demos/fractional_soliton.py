@@ -22,12 +22,12 @@ def main():
           f"residual {result.residual:.3e}")
 
     mp = fnls.ModelParams(s=S)
-    snaps = fnls.FieldRecorder(stride=8)
+    tracker = fnls.WaveTracker(stride=8)
     rec = fnls.InvariantRecorder(mp, stride=10)
     fnls.evolve(result.profile, 10.0, fnls.yoshida_coefficients(2),
-                fnls.SolverParams(k=1.25e-2), mp, observers=(snaps, rec))
+                fnls.SolverParams(k=1.25e-2), mp, observers=(tracker, rec))
 
-    tracks = fnls.wave_tracking(snaps.records)
+    tracks = tracker.records()
     amp0 = tracks[0].amplitude
     amp_err = max(abs(t.amplitude - amp0) for t in tracks)
     speeds = [t.speed for t in tracks if t.speed is not None]

@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import FnlsError, ParameterError, TrackingError, check_count
@@ -44,19 +43,18 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _output_dir(config: RunConfig) -> Path:
-    out = Path(config.output_dir)
+def _output_dir(out: Path) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as err:    # ValueError: a NUL byte in the path
-        raise ParameterError(f"output_dir: cannot create {str(out)!r}: "
+        raise ParameterError(f"--output: cannot create {str(out)!r}: "
                              f"{getattr(err, 'strerror', None) or err}") from None
     return out
 
 
-def cmd_simulate(config: RunConfig) -> int:
+def cmd_simulate(config: RunConfig, out: Path) -> int:
     u0 = build_initial_field(config)
-    out = _output_dir(config)
+    _output_dir(out)
     scheme, sp, mp = config.problem()
     invariant_rec = InvariantRecorder(mp, stride=config.invariant_stride)
     tracker = WaveTracker(stride=config.snapshot_stride)
@@ -83,7 +81,7 @@ def cmd_simulate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_convergence(config: RunConfig, dt_list: list[float]) -> int:
+def cmd_convergence(config: RunConfig, out: Path, dt_list: list[float]) -> int:
     workers = None
     env = os.environ.get("FNLS_THREADS")
     if env is not None:
@@ -98,19 +96,20 @@ def cmd_convergence(config: RunConfig, dt_list: list[float]) -> int:
         rv = "" if r.rate_v is None else f"{r.rate_v:.4f}"
         rw = "" if r.rate_w is None else f"{r.rate_w:.4f}"
         print(f"{r.dt:g},{r.err_v:.6e},{rv},{r.err_w:.6e},{rw}")
-    write_csv(_output_dir(config) / "convergence.csv", ConvergenceRow, rows)
+    write_csv(_output_dir(out) / "convergence.csv", ConvergenceRow, rows)
     return EXIT_OK
 
 
-def cmd_profile(config: RunConfig) -> int:
+def cmd_profile(config: RunConfig, out: Path) -> int:
     result = build_profile(config)
-    out = _output_dir(config)
+    _output_dir(out)
     write_snapshot(out / "profile.bin", result.profile, s=config.s, t=0.0)
+    init = config.initial
     metadata = {
-        "lambda1": result.lambda1,
-        "lambda2": result.lambda2,
-        "s": result.s,
-        "tol": config.initial.tol,
+        "lambda1": init.lambda1,
+        "lambda2": init.lambda2,
+        "s": config.s,
+        "tol": init.tol,
         "residual": result.residual,
         "iterations": result.iterations,
     }
@@ -134,8 +133,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (p_sim, p_conv, p_prof):
         p.add_argument("--config", required=True, type=Path,
                        help="JSON run configuration")
-        p.add_argument("--output", type=Path, default=None,
-                       help="override the config's output_dir")
+        p.add_argument("--output", type=Path, default=Path("."),
+                       help="directory for the output files (default: .)")
     p_conv.add_argument("--dt", type=float, nargs="+", default=None,
                         help="step sizes for the table (default: config dt)")
     return parser
@@ -173,21 +172,19 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(_shield_dt_values(argv))
     try:
         config = load_config(args.config)
-        if args.output is not None:
-            config = replace(config, output_dir=args.output)
         if args.command == "simulate":
-            return cmd_simulate(config)
+            return cmd_simulate(config, args.output)
         if args.command == "convergence":
             dt_list = args.dt if args.dt else [config.dt]
-            return cmd_convergence(config, dt_list)
-        return cmd_profile(config)
+            return cmd_convergence(config, args.output, dt_list)
+        return cmd_profile(config, args.output)
     except ParameterError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as err:
         # config and snapshot reads report their own failures, so an
         # OSError is an output that cannot be written
-        print(f"error: output_dir: cannot write {str(err.filename or config.output_dir)!r}: "
+        print(f"error: --output: cannot write {str(err.filename or args.output)!r}: "
               f"{err.strerror or err}", file=sys.stderr)
         return EXIT_CONFIG
     except FnlsError as err:

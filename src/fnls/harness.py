@@ -38,7 +38,6 @@ __all__ = [
     "convergence_study",
     "error_growth_study",
     "invariant_drift_study",
-    "wave_tracking",
 ]
 
 # Sliding-window length (in records) of the least-squares speed estimator.
@@ -397,14 +396,3 @@ class WaveTracker:
             records.append(TrackRecord(t=float(times[i]), amplitude=self.amplitudes[i],
                                        peak_x=float(peak_x[i]), speed=speed))
         return records
-
-
-def wave_tracking(snapshots: list[tuple[float, Field]]) -> list[TrackRecord]:
-    """Track amplitude, unwrapped peak position, and windowed speed over
-    (t, Field) snapshots, as WaveTracker.records() does over a run."""
-    if not snapshots:
-        raise ParameterError("snapshots must not be empty")
-    tracker = WaveTracker()
-    for i, (t, field) in enumerate(snapshots):
-        tracker(i, t, field)
-    return tracker.records()

@@ -222,7 +222,8 @@ def _extrapolate(history: np.ndarray, n: int, w: np.ndarray, scale: np.ndarray) 
 
 # Diverging stage iterates may overflow before the iteration cap trips;
 # that is the expected failure route, not a condition worth a numpy
-# warning.  evolve enters this scope once around all its stages.
+# warning.  evolve enters this scope around its set-up and around all
+# its stages.
 _QUIET_OVERFLOW = {"over": "ignore", "invalid": "ignore"}
 
 
@@ -339,8 +340,12 @@ def evolve(U0: Field, T: float, scheme: CompositionScheme, sp: SolverParams,
         check_count("observer stride", stride)
 
     N = grid.N
-    u_hat = fft(U0.values, 1.0, out=np.empty(N, dtype=complex))
-    ctx = _StepContext(grid, scheme.b, sp, mp, u_hat)
+    caller_errstate = np.geterr()
+    with np.errstate(**_QUIET_OVERFLOW):
+        # the mean-field shift of a huge field overflows here; the first
+        # stage solve then reports the failure with its step and stage
+        u_hat = fft(U0.values, 1.0, out=np.empty(N, dtype=complex))
+        ctx = _StepContext(grid, scheme.b, sp, mp, u_hat)
     for obs in observers:
         obs(0, 0.0, U0)
 
@@ -356,7 +361,6 @@ def evolve(U0: Field, T: float, scheme: CompositionScheme, sp: SolverParams,
         scratch = np.empty_like(u_hat)
         slots = [[(j, scratch) for j in range(1, scheme.q + 1)]]
     spare = np.empty_like(u_hat)    # u_hat and spare alternate as stage output
-    caller_errstate = np.geterr()
     with np.errstate(**_QUIET_OVERFLOW):
         for n in range(1, M + 1):
             # from step 5 on, every stage starts from its predicted part,

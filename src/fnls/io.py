@@ -82,7 +82,6 @@ class RunConfig:
     fp_max_iters: int = SolverParams.fp_max_iters
     invariant_stride: int = 1
     snapshot_stride: int = 100
-    output_dir: Path = Path(".")
 
     def __post_init__(self) -> None:
         # A RunConfig that exists is valid: each field goes through the check
@@ -185,7 +184,6 @@ def load_config(path: Path | str) -> RunConfig:
     _take(data, values, "fp_max_iters", None)
     _take(data, values, "invariant_stride", None)
     _take(data, values, "snapshot_stride", None)
-    _take(data, values, "output_dir", Path)
     if data:
         raise ParameterError(f"config: unknown key(s) {sorted(data)}")
     return RunConfig(**values)
@@ -235,6 +233,8 @@ def read_snapshot(path: Path | str) -> Snapshot:
     except ParameterError as err:
         raise ParameterError(f"snapshot: {path}: {err}") from None
     values = np.frombuffer(blob, dtype="<c16", count=N, offset=offset).copy()
+    if not np.isfinite(values).all():
+        raise ParameterError(f"snapshot: {path} holds non-finite values")
     return Snapshot(field=Field(values, grid), s=s, t=t)
 
 

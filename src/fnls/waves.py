@@ -89,9 +89,6 @@ class ProfileResult:
     profile: Field
     residual: float
     iterations: int
-    s: float
-    lambda1: float
-    lambda2: float
 
 
 def _profile_symbol(grid: SpectralGrid, s: float, lambda1: float,
@@ -158,7 +155,5 @@ def petviashvili_profile(grid: SpectralGrid, s: float, lambda1: float,
         res = float(res_scale * np.linalg.norm(ell * phi_hat - g_hat))
         residual_history.append(res)
         if change <= tol and res <= 100.0 * tol:
-            return ProfileResult(profile=Field(vals, grid), residual=res,
-                                 iterations=it, s=s, lambda1=lambda1,
-                                 lambda2=lambda2)
+            return ProfileResult(profile=Field(vals, grid), residual=res, iterations=it)
     raise ProfileDivergenceError(max_iters, residual_history)

@@ -204,10 +204,10 @@ def test_criterion_09_petviashvili_profiles():
     r2 = fnls.petviashvili_profile(g1024, 0.75, 1.0, 0.25)
 
     mp = fnls.ModelParams(s=0.75)
-    snaps = fnls.FieldRecorder(stride=8)
+    tracker = fnls.WaveTracker(stride=8)
     fnls.evolve(r2.profile, 10.0, fnls.yoshida_coefficients(2),
-                fnls.SolverParams(k=1.25e-2), mp, observers=(snaps,))
-    tracks = fnls.wave_tracking(snaps.records)
+                fnls.SolverParams(k=1.25e-2), mp, observers=(tracker,))
+    tracks = tracker.records()
     amp_err = max(abs(tr.amplitude - tracks[0].amplitude) for tr in tracks)
     speed_err = max(abs(tr.speed - 0.25) for tr in tracks if tr.speed is not None)
 

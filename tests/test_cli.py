@@ -77,6 +77,16 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     assert lines[after + 1] == f"max contraction:     {stats.max_contraction:.3g}"
 
 
+def test_simulate_without_output_writes_to_working_directory(tmp_path, monkeypatch):
+    config = write_config(tmp_path, {**SIM_CONFIG, "N": 64, "T": 0.05})
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["simulate", "--config", str(config)]) == EXIT_OK
+    assert sorted(p.name for p in work.iterdir()) == [
+        "invariants.csv", "snapshot_00000000.bin", "tracking.csv"]
+
+
 def test_simulate_invariant_stride(tmp_path):
     config = write_config(tmp_path, {**SIM_CONFIG, "invariant_stride": 4})
     code = main(["simulate", "--config", str(config), "--output", str(tmp_path)])
@@ -220,7 +230,7 @@ def test_output_dir_that_cannot_be_created(tmp_path, capsys, command):
         code = main([command, "--config", str(config), "--output", str(output)])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG, err
-        assert err.startswith("error: output_dir:") and name in err, err
+        assert err.startswith("error: --output: cannot write") and name in err, err
         assert "Traceback" not in err
     # a Petviashvili config, except for convergence: its study measures against
     # the closed-form soliton and rejects other data before any directory exists
@@ -233,15 +243,13 @@ def test_output_dir_that_cannot_be_created(tmp_path, capsys, command):
         code = main([command, "--config", str(config), "--output", str(output)])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG, err
-        assert "output_dir" in err
+        assert err.startswith("error: --output: cannot create"), err
         assert "Traceback" not in err
-    # argv cannot carry a NUL byte, a config file can
-    config = write_config(tmp_path, {**SIM_CONFIG, "initial": initial,
-                                     "output_dir": "a\u0000b"})
-    code = main([command, "--config", str(config)])
+    # a shell's argv cannot carry a NUL byte, main's argument list can
+    code = main([command, "--config", str(config), "--output", "a\u0000b"])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG, err
-    assert err.startswith("error: output_dir:")
+    assert err.startswith("error: --output: cannot create")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -259,7 +267,7 @@ def test_output_write_failure_without_filename(tmp_path, capsys, command, name):
     code = main([command, "--config", str(config), "--output", str(out)])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG, err
-    assert err.startswith(f"error: output_dir: cannot write {str(out)!r}: "), err
+    assert err.startswith(f"error: --output: cannot write {str(out)!r}: "), err
 
 
 @pytest.mark.parametrize("command,initial", [
@@ -274,6 +282,23 @@ def test_output_dir_created_after_initial_data(tmp_path, capsys, command, initia
     assert code == EXIT_CONFIG, err
     assert err.startswith(("error: initial", "error: snapshot:")), err
     assert not (tmp_path / "new").exists()
+
+
+def test_simulate_rejects_non_finite_snapshot(tmp_path, capsys):
+    # a snapshot holding NaN is bad initial data: exit 2 before any output
+    g = SpectralGrid(64, np.pi)
+    values = np.exp(-g.nodes ** 2) + 0j
+    values[5] = math.nan
+    snapshot = tmp_path / "nan.bin"
+    write_snapshot(snapshot, Field(values, g), s=1.0, t=0.0)
+    config = write_config(tmp_path, {
+        "L": np.pi, "N": 64, "s": 1.0, "dt": 0.01, "T": 0.1, "scheme_p": 1,
+        "initial": {"kind": "profile_file", "path": str(snapshot)}})
+    code = main(["simulate", "--config", str(config), "--output", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG, err
+    assert err == f"error: snapshot: {snapshot} holds non-finite values\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_convergence_rejects_fractional_soliton(tmp_path, capsys):

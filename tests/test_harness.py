@@ -26,7 +26,6 @@ from fnls import (
     invariant_drift_study,
     nls_soliton,
     petviashvili_profile,
-    wave_tracking,
     write_snapshot,
 )
 from fnls import ProfileFileInitial
@@ -254,13 +253,21 @@ def test_studies_validate_config(study):
             study(desk_config(**{name: value}))
 
 
+def track(snapshots):
+    """The records of a WaveTracker fed (t, Field) snapshots as steps 0, 1, ..."""
+    tracker = WaveTracker()
+    for n, (t, field) in enumerate(snapshots):
+        tracker(n, t, field)
+    return tracker.records()
+
+
 def test_tracking_analytic_soliton():
     # parabolic peak refinement carries an O(h^4) amplitude bias; N = 4096
     # keeps it near 1e-7 for this profile
     g = SpectralGrid(4096, 16 * np.pi)
     p = SolitonParams(lambda1=1.0, lambda2=0.25)
     snapshots = [(0.25 * j, nls_soliton(g, 0.25 * j, p)) for j in range(9)]
-    records = wave_tracking(snapshots)
+    records = track(snapshots)
     peak = math.sqrt(2 * p.a)
     for i, r in enumerate(records):
         assert abs(r.amplitude - peak) <= 1e-6
@@ -275,7 +282,7 @@ def test_tracking_stationary_soliton():
     g = SpectralGrid(1024, 16 * np.pi)
     p = SolitonParams(lambda1=1.0)
     snapshots = [(0.5 * j, nls_soliton(g, 0.5 * j, p)) for j in range(6)]
-    records = wave_tracking(snapshots)
+    records = track(snapshots)
     for r in records:
         assert abs(r.peak_x) <= 1e-9
         if r.speed is not None:
@@ -285,7 +292,7 @@ def test_tracking_stationary_soliton():
 def test_tracking_rolled_snapshots_give_exact_speed(small_grid):
     vals = np.exp(-small_grid.nodes**2) + 0j
     snapshots = [(0.5 * j, Field(np.roll(vals, 3 * j), small_grid)) for j in range(7)]
-    records = wave_tracking(snapshots)
+    records = track(snapshots)
     expected = 3 * small_grid.h / 0.5
     for r in records:
         if r.speed is not None:
@@ -298,7 +305,7 @@ def test_tracking_unwraps_periodic_crossing(small_grid):
     vals = np.exp(-small_grid.nodes**2) + 0j
     m = 20   # per-record shift below half a period, as unwrapping requires
     snapshots = [(1.0 * j, Field(np.roll(vals, m * j), small_grid)) for j in range(8)]
-    records = wave_tracking(snapshots)
+    records = track(snapshots)
     expected = m * small_grid.h
     for r in records:
         if r.speed is not None:
@@ -308,7 +315,7 @@ def test_tracking_unwraps_periodic_crossing(small_grid):
 def test_tracking_flat_field_raises(small_grid):
     flat = Field(np.ones(small_grid.N), small_grid)
     with pytest.raises(TrackingError):
-        wave_tracking([(0.0, flat)])
+        track([(0.0, flat)])
 
 
 def test_wave_tracker_keeps_first_error(small_grid):
@@ -341,8 +348,8 @@ def test_tracking_flat_crest_across_the_seam(small_grid):
 
 
 def test_tracking_empty_input():
-    with pytest.raises(ParameterError):
-        wave_tracking([])
+    # a tracker that observed nothing has no records
+    assert WaveTracker().records() == []
 
 
 def test_build_initial_field_soliton():

@@ -824,6 +824,20 @@ def test_evolve_observers_keep_caller_error_handling(small_grid):
     assert seen == [("raise", "warn")] * 6
 
 
+@pytest.mark.parametrize("settings", [{}, {"all": "raise"}], ids=["default", "raise"])
+def test_evolve_set_up_overflow_is_a_stage_divergence(settings):
+    # finite data whose mean-field shift 2 mean|u|^2 overflows while evolve
+    # builds its stage tables: the first stage solve reports the failure,
+    # with no numpy warning (an error under this suite) or FloatingPointError
+    grid = SpectralGrid(64, np.pi)
+    u = Field(1e154 * np.exp(1j * grid.nodes), grid)
+    with np.errstate(**settings), pytest.raises(StageDivergenceError) as info:
+        evolve(u, 0.2, yoshida_coefficients(2), SolverParams(k=0.1), ModelParams(s=0.75))
+    assert str(info.value).startswith("fixed-point stage solve at stage 1 overflowed "
+                                      "after 1 iteration; largest contraction inf")
+    assert info.value.step_index == 1
+
+
 def test_evolve_rejects_bad_horizon(small_grid):
     mp = ModelParams(s=1.0)
     u = smooth_random_field(small_grid, seed=73)

@@ -69,12 +69,10 @@ def test_load_config_round_trip(tmp_path):
 
 
 def test_load_config_optional_fields(tmp_path):
-    data = {**GOOD_CONFIG, "fp_tol": 1e-11, "invariant_stride": 10,
-            "output_dir": "out"}
+    data = {**GOOD_CONFIG, "fp_tol": 1e-11, "invariant_stride": 10}
     config = load_config(write_config(tmp_path, data))
     assert config.fp_tol == 1e-11
     assert config.invariant_stride == 10
-    assert config.output_dir == Path("out")
 
 
 def test_load_config_initial_kinds(tmp_path):
@@ -104,6 +102,7 @@ def test_load_config_initial_kinds(tmp_path):
 ERROR_PREFIXES = {
     "mystery": r"config: unknown key\(s\) \['mystery'\]",
     "dealias": r"config: unknown key\(s\) \['dealias'\]",
+    "output_dir": r"config: unknown key\(s\) \['output_dir'\]",
     "hue": r"initial: unknown key\(s\) \['hue'\]",
     "kind": r"initial\.kind:",
     "lambda": r"initial\.lambda1: must exceed lambda2\^2/4 = 0\.25, got 0\.2$",
@@ -135,7 +134,8 @@ ERROR_PREFIXES = {
     # old default, is rejected rather than run as plain collocation
     (lambda d: d.update(dealias=False), "dealias"),
     pytest.param(lambda d: d.update(dealias=True), "dealias", id="dealias=true"),
-    (lambda d: d.update(output_dir=3), "output_dir"),
+    # the output directory is the CLI's --output alone; the key is gone
+    (lambda d: d.update(output_dir="out"), "output_dir"),
     (lambda d: d.update(mystery=1), "mystery"),
     (lambda d: d.update(initial={"kind": "soliton", "lambda1": 1.0, "hue": 2}), "hue"),
     (lambda d: d.update(initial={"kind": "vortex"}), "kind"),
@@ -272,15 +272,14 @@ def test_load_config_malformed_json(tmp_path):
         load_config(tmp_path / "a\0b")
 
 
-def test_run_config_with_output_dir():
-    # the CLI's --output goes through dataclasses.replace, which re-runs
-    # the construction checks on every field
+def test_run_config_replace_rechecks_fields():
+    # dataclasses.replace re-runs the construction checks on every field
     config = RunConfig(L=np.pi, N=64, s=1.0, dt=1e-2, T=0.1, scheme_p=1,
                        initial=SolitonInitial(lambda1=1.0))
-    replaced = replace(config, output_dir=Path("elsewhere"))
-    assert replaced.output_dir == Path("elsewhere")
+    replaced = replace(config, snapshot_stride=5)
+    assert replaced.snapshot_stride == 5
     assert replaced.dt == config.dt
-    assert config.output_dir == Path(".")
+    assert config.snapshot_stride == 100
     with pytest.raises(ParameterError, match="^dt:"):
         replace(config, dt=0.3)
 
@@ -326,6 +325,20 @@ def test_snapshot_rejects_corruption(tmp_path, small_grid):
                                + bytes(16 * N))
         with pytest.raises(ParameterError, match=f"^snapshot: .*header.bin: {name}: "):
             read_snapshot(bad_header)
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf),
+                                 complex(-math.inf, 1.0)], ids=["nan", "inf", "-inf"])
+def test_snapshot_rejects_non_finite_values(tmp_path, small_grid, bad):
+    # a field no run could have written is bad initial data, not a run to
+    # fail at its first stage
+    values = smooth_random_field(small_grid, seed=95).values.copy()
+    values[7] = bad
+    path = tmp_path / "field.bin"
+    write_snapshot(path, Field(values, small_grid), s=1.0, t=0.0)
+    with pytest.raises(ParameterError,
+                       match=f"^snapshot: {re.escape(str(path))} holds non-finite values$"):
+        read_snapshot(path)
 
 
 def test_snapshot_writer_observer(tmp_path, small_grid):

@@ -19,7 +19,7 @@ STABLE_EXPORTS = {
     "hs_bound_diagnostic", "hs_norm", "imr_stage_solve", "invariant_drift_study",
     "invariants", "inverse_transform", "l2_norm", "linf_norm", "load_config", "mass",
     "momentum", "nls_soliton", "nonlinearity", "petviashvili_profile",
-    "read_snapshot", "residual_operator", "rhs", "step", "wave_tracking",
+    "read_snapshot", "residual_operator", "rhs", "step",
     "write_snapshot", "yoshida_coefficients",
 }
 
