@@ -3,9 +3,13 @@
 
 Mass and momentum are conserved exactly by the scheme, so their measured
 drift over 10^4 steps sits at the fixed-point solver tolerance and shrinks
-linearly with it; this holds even for rough multimode dynamics.  The
-Hamiltonian is not exactly conserved, but on a resolved soliton run its
-drift is a bounded truncation effect shrinking at fourth order in the step.
+linearly with it, even for rough multimode dynamics, down to a rounding
+floor that grows about in proportion to the step count: at fp_tol = 1e-13
+the relative I1 / I2 drifts read 8.29e-13 / 6.12e-13 over 5,000 steps,
+2.10e-12 / 8.60e-12 over 10,000 and 1.06e-11 / 8.93e-12 over 16,000, and
+iterating each stage to roundoff does not lower I1's.  The Hamiltonian is
+not exactly conserved, but on a resolved soliton run its drift is a
+bounded truncation effect shrinking at fourth order in the step.
 """
 
 import numpy as np

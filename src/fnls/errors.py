@@ -7,10 +7,9 @@ to Exception and builds its message from its fields, so default pickling
 (a pool worker's failure) replays the constructor and restores the fields
 set later, such as step_index.
 
-check_count, check_flag, check_finite and check_positive_finite are the
-package's value checks: every precondition on a count, a switch, a wave
-parameter or a tolerance calls one with the value's name, which starts
-the message.
+check_count, check_finite and check_positive_finite are the package's
+value checks: every precondition on a count, a wave parameter or a
+tolerance calls one with the value's name, which starts the message.
 """
 
 from __future__ import annotations
@@ -49,12 +48,6 @@ def check_count(name: str, value, lo: int = 1, hi: int | None = None) -> None:
     if not lo <= value <= (math.inf if hi is None else hi):
         bound = f"be >= {lo}" if hi is None else f"lie in [{lo}, {hi}]"
         raise ParameterError(f"{name}: must {bound}, got {value!r}")
-
-
-def check_flag(name: str, value) -> None:
-    """Raise ParameterError unless value is a bool (numpy's bool too)."""
-    if not isinstance(value, (bool, np.bool_)):
-        raise ParameterError(f"{name}: expected a boolean, got {value!r}")
 
 
 def check_finite(name: str, value) -> None:

@@ -11,10 +11,10 @@ solves for its midpoint X by the mean-field preconditioned fixed point
 with A inverted mode by mode and Y_j = 2 X* - Y_{j-1}.  In Fourier space
 the map is Z_{n+1} = base + gain_j fft((|X_n|^2 - c) X_n), with
 Z = 2 fft(X), base = pre_j fft(Y_{j-1}), pre_j = 2 A^{-1} and
-gain_j = i (k b_j / 2) pre_j; the linear model has c = 0 and gain_j = 0.
-From step 5 on, stage j starts from Z_0 = base + g~, where the
-nonlinear part g = Z* - base is extrapolated from its values g_i in step
-n - i, in each mode's rotation w = sign(g_1 conj(g_2)) (sign(0) = 0):
+gain_j = i (k b_j / 2) pre_j.  From step 5 on, stage j starts from
+Z_0 = base + g~, where the nonlinear part g = Z* - base is extrapolated
+from its values g_i in step n - i, in each mode's rotation
+w = sign(g_1 conj(g_2)) (sign(0) = 0):
 
     g~ = 3 w g_1 - 3 w^2 g_2 + w^3 g_3.
 
@@ -163,7 +163,7 @@ class _StepContext:
         self.inverse_scale = np.array(0.5 / N)      # X = ifft(Z) / (2 N)
         # mean-field shift c = 2 mean|u|^2, by Parseval; kept as a complex
         # 0-d array, which the cubic term subtracts without a conversion
-        shift = 0.0 if mp.linear else 2.0 * np.vdot(u_hat, u_hat).real / N ** 2
+        shift = 2.0 * np.vdot(u_hat, u_hat).real / N ** 2
         self.shift = np.array(shift, dtype=complex)
         shifted = grid.fractional_symbol(mp.s) - shift
         tables = {}     # symmetric compositions repeat b_j; equal stages share
@@ -175,8 +175,7 @@ class _StepContext:
                 pre = (0.5 * ihk) * shifted
                 pre += 0.5
                 np.reciprocal(pre, out=pre)
-                gain = np.zeros_like(pre) if mp.linear else ihk * pre
-                tables[bj] = pre, gain, sp.k * bj
+                tables[bj] = pre, ihk * pre, sp.k * bj
         self.stages = [tables[bj] for bj in b]      # (pre_j, gain_j, k b_j)
         # eta[j - 1]: weight of stage j's first-sweep error estimate, 1.0
         # until a solve of two or more sweeps has measured its contraction

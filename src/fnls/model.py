@@ -6,8 +6,9 @@ Fourier collocation in space, the ODE system
     u_t = F(u) = -i (-d_xx)^s u + i |u|^2 u,
 
 with the cubic term formed pointwise at the nodes.  This module provides
-F, the conserved functionals (mass, momentum, Hamiltonian), and the
-a-priori H^s bound diagnostic.
+F, its conserved functionals (the mass I1, the momentum I2 and the
+Hamiltonian H, evaluated together by ``invariants``), and the a-priori
+H^s bound diagnostic.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_flag
-from .spectral import Field, SpectralGrid, check_s, fractional_laplacian
+from .spectral import Field, check_s, fractional_laplacian
 
 __all__ = [
     "ModelParams",
@@ -25,9 +25,6 @@ __all__ = [
     "HsBoundDiagnostic",
     "nonlinearity",
     "rhs",
-    "mass",
-    "momentum",
-    "hamiltonian",
     "invariants",
     "hs_bound_diagnostic",
 ]
@@ -35,18 +32,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Fractional order s in (0, 1].
-
-    ``linear`` is a diagnostic hook that drops the cubic term entirely,
-    used to test the integrator against the exactly solvable linear flow.
-    """
+    """Fractional order s in (0, 1]."""
 
     s: float
-    linear: bool = False
 
     def __post_init__(self):
         check_s(self.s)
-        check_flag("linear", self.linear)
 
 
 @dataclass(frozen=True)
@@ -80,56 +71,32 @@ def nonlinearity(u: Field) -> Field:
 def rhs(u: Field, p: ModelParams) -> Field:
     """Semidiscrete right-hand side F(u) = -i (-d_xx)^s u + i |u|^2 u."""
     lap = fractional_laplacian(u, p.s).values
-    if p.linear:
-        return Field(-1j * lap, u.grid)
     return Field(-1j * lap + 1j * nonlinearity(u).values, u.grid)
 
 
-def _power_spectrum(u: Field) -> np.ndarray:
-    """|fft(u)_k|^2 / N, so that sum_j |(S u)_j|^2 = sum_k |sigma_k|^2 times
-    this for a Fourier multiplier S with symbol sigma (Parseval)."""
-    c = np.fft.fft(u.values)
-    return (c.real ** 2 + c.imag ** 2) / u.grid.N
-
-
-def _momentum(g: SpectralGrid, power: np.ndarray) -> float:
-    # sum_j u_j conj((Du)_j) = sum_k conj(i kappa_k) |u_hat_k|^2 / N, with
-    # the Nyquist mode zeroed as in derivative_symbol
-    return float(-0.5 * g.h * np.dot(g.derivative_symbol.imag, power))
-
-
-def _hamiltonian(u: Field, power: np.ndarray, s: float) -> float:
-    g = u.grid
-    kinetic = 0.5 * np.dot(g.fractional_symbol(s), power)
-    potential = 0.5 * np.sum((u.values.real ** 2 + u.values.imag ** 2) ** 2)
-    return float(g.h * (kinetic - potential))
-
-
-def mass(u: Field) -> float:
-    """I1 = (h/2) sum_j |u_j|^2."""
-    return float(0.5 * u.grid.h * np.sum(np.abs(u.values) ** 2))
-
-
-def momentum(u: Field) -> float:
-    """I2 = (h/2) sum_j Im(u_j conj((Du)_j)) with D the spectral derivative,
-    evaluated by Parseval as -(h/2N) sum_k kappa_k |u_hat_k|^2."""
-    return _momentum(u.grid, _power_spectrum(u))
-
-
-def hamiltonian(u: Field, p: ModelParams) -> float:
-    """H = h sum_j ( |(|D|^s u)_j|^2 / 2 - |u_j|^4 / 2 ).
-
-    |D|^s is the half-power multiplier |pi k / L|^s; by Parseval the
-    kinetic term is (1/2N) sum_k |pi k / L|^(2s) |u_hat_k|^2.
-    """
-    return _hamiltonian(u, _power_spectrum(u), p.s)
-
-
 def invariants(t: float, u: Field, p: ModelParams) -> InvariantRecord:
-    """Evaluate all three conserved functionals at time t (one FFT)."""
-    power = _power_spectrum(u)
-    return InvariantRecord(t=t, I1=mass(u), I2=_momentum(u.grid, power),
-                           H=_hamiltonian(u, power, p.s))
+    """The three conserved functionals at time t:
+
+        I1 = (h/2) sum_j |u_j|^2,
+        I2 = (h/2) sum_j Im(u_j conj((Du)_j)),
+        H  = h sum_j ( |(|D|^s u)_j|^2 / 2 - |u_j|^4 / 2 ),
+
+    with D the spectral derivative and |D|^s the half-power multiplier
+    |pi k / L|^s.  One FFT gives the power spectrum |u_hat_k|^2 / N, and
+    by Parseval I2 = -(h/2N) sum_k kappa_k |u_hat_k|^2 (the Nyquist mode
+    zeroed as in derivative_symbol) and the kinetic term of H is
+    (1/2N) sum_k |pi k / L|^(2s) |u_hat_k|^2; one nodal density |u_j|^2
+    gives I1 and the quartic term.
+    """
+    g = u.grid
+    c = np.fft.fft(u.values)
+    power = (c.real ** 2 + c.imag ** 2) / g.N
+    density = u.values.real ** 2 + u.values.imag ** 2
+    kinetic = 0.5 * np.dot(g.fractional_symbol(p.s), power)
+    potential = 0.5 * np.sum(density ** 2)
+    return InvariantRecord(t=t, I1=float(0.5 * g.h * np.sum(density)),
+                           I2=float(-0.5 * g.h * np.dot(g.derivative_symbol.imag, power)),
+                           H=float(g.h * (kinetic - potential)))
 
 
 def hs_bound_diagnostic(u0: Field, p: ModelParams) -> HsBoundDiagnostic:
@@ -144,8 +111,8 @@ def hs_bound_diagnostic(u0: Field, p: ModelParams) -> HsBoundDiagnostic:
     check_s(p.s, lo=0.5)
     k = np.abs(u0.grid.wavenumbers.astype(np.float64))
     c_inf = float(np.sqrt(np.sum((1.0 + k**p.s) ** -2.0)))
-    i1 = mass(u0)
-    energy = hamiltonian(u0, p)
+    record = invariants(0.0, u0, p)
+    i1, energy = record.I1, record.H
     c_star = 1.0 - c_inf**2 * i1
     satisfied = c_star >= 0.0 and 0.5 * i1 + energy >= 0.0
     c_s = None

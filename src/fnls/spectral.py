@@ -35,7 +35,6 @@ __all__ = [
     "derivative",
     "l2_norm",
     "hs_norm",
-    "linf_norm",
 ]
 
 
@@ -212,8 +211,3 @@ def hs_norm(f: Field, s: float) -> float:
     c = np.fft.fft(f.values) / g.N     # mode_phase cancels under |c|^2
     weights = (1.0 + g.wavenumbers.astype(np.float64) ** 2) ** s
     return float(np.sqrt(2.0 * g.L * np.sum(weights * np.abs(c) ** 2)))
-
-
-def linf_norm(f: Field) -> float:
-    """Maximum nodal modulus."""
-    return float(np.max(np.abs(f.values)))

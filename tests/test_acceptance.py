@@ -26,7 +26,7 @@ def _desk_config(scheme_p):
 def _smooth_field(grid, rng, amplitude=1.0, bandwidth=4.0):
     coeffs = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
     coeffs *= np.exp(-((grid.wavenumbers / bandwidth) ** 2))
-    vals = fnls.inverse_transform(fnls.Coefficients(coeffs, grid)).values
+    vals = np.fft.ifft(coeffs * (-1.0) ** grid.wavenumbers) * grid.N
     peak = np.max(np.abs(vals))
     return fnls.Field(vals * (amplitude / peak), grid)
 

@@ -19,10 +19,9 @@ from fnls import (
     StageDivergenceError,
     evolve,
     exact_step_count,
-    forward_transform,
     imr_stage_solve,
+    invariants,
     l2_norm,
-    momentum,
     nls_soliton,
     petviashvili_profile,
     rhs,
@@ -32,7 +31,7 @@ from fnls import (
 from fnls import integrators
 from fnls.integrators import MAX_COMPOSITION_LEVEL
 from fnls.spectral import fft, ifft
-from conftest import smooth_random_field
+from conftest import LINEAR_SCALE, smooth_random_field
 
 W1_ORDER4 = 1.3512071919596578
 W0_ORDER4 = -1.7024143839193155
@@ -144,16 +143,17 @@ def test_stage_zero_field_converges_immediately(small_grid):
 def test_stage_linear_flow_two_sweeps(small_grid):
     # without the cubic term the preconditioner inverts the stage exactly,
     # so the first sweep lands on the fixed point and the second detects it
-    mp = ModelParams(s=0.75, linear=True)
+    mp = ModelParams(s=0.75)
     u = smooth_random_field(small_grid, seed=43)
-    out, iters = imr_stage_solve(u, 1.0, SolverParams(k=1e-2), mp)
+    out, iters = imr_stage_solve(Field(LINEAR_SCALE * u.values, small_grid), 1.0,
+                                 SolverParams(k=1e-2), mp)
     assert iters == 2
     # closed form: Cayley multiplier per mode
     hk = 0.5e-2
     sym = np.abs(small_grid.kappa) ** 1.5
     mult = (1 - 1j * hk * sym) / (1 + 1j * hk * sym)
     expected = np.fft.ifft(mult * np.fft.fft(u.values))
-    np.testing.assert_allclose(out.values, expected, atol=1e-14)
+    np.testing.assert_allclose(out.values / LINEAR_SCALE, expected, atol=1e-14)
 
 
 def test_stage_rejects_zero_coefficient(small_grid):
@@ -293,8 +293,8 @@ def test_step_and_stage_outputs_do_not_alias(small_grid):
 def test_evolve_predictor_exact_for_linear_flow(small_grid):
     # steps 1-4 start from Y_{j-1} and take two sweeps per stage; from step 5
     # the predicted midpoint is the fixed point, so one sweep confirms it
-    mp = ModelParams(s=0.75, linear=True)
-    u = smooth_random_field(small_grid, seed=43)
+    mp = ModelParams(s=0.75)
+    u = smooth_random_field(small_grid, seed=43, amplitude=LINEAR_SCALE)
     M, q = 10, 3
     _, stats = evolve(u, 0.1, yoshida_coefficients(2), SolverParams(k=1e-2), mp)
     assert stats.steps == M
@@ -323,8 +323,8 @@ def test_predictor_linear_flow_has_no_nonlinear_part(small_grid, monkeypatch):
     # and so is its measured rotation (0 / tiny, never 0 / 0)
     seen = _record_rotations(monkeypatch)
     sp = SolverParams(k=1e-2)
-    u = smooth_random_field(small_grid, seed=43)
-    evolve(u, 0.1, yoshida_coefficients(2), sp, ModelParams(s=0.75, linear=True))
+    u = smooth_random_field(small_grid, seed=43, amplitude=LINEAR_SCALE)
+    evolve(u, 0.1, yoshida_coefficients(2), sp, ModelParams(s=0.75))
     assert len(seen) == 6
     for omega, _, history in seen:
         np.testing.assert_array_equal(history, 0.0)
@@ -475,8 +475,8 @@ def test_evolve_first_sweep_estimate_on_fractional_profile():
 
 def test_evolve_reports_max_contraction(small_grid):
     # under the linear flow every second sweep changes nothing: ratio 0
-    mp = ModelParams(s=0.75, linear=True)
-    u = smooth_random_field(small_grid, seed=43)
+    mp = ModelParams(s=0.75)
+    u = smooth_random_field(small_grid, seed=43, amplitude=LINEAR_SCALE)
     _, stats = evolve(u, 0.1, yoshida_coefficients(2), SolverParams(k=1e-2), mp)
     assert stats.max_contraction == 0.0
     # criterion 04's data contracts by about 0.1 per sweep at k = 0.25
@@ -703,7 +703,8 @@ def test_step_conserves_momentum(small_grid):
     sp = SolverParams(k=2e-2, fp_tol=1e-13)
     u = smooth_random_field(small_grid, seed=53)
     out, _ = step(u, yoshida_coefficients(2), sp, mp)
-    assert abs(momentum(out) - momentum(u)) <= 100 * sp.fp_tol * max(1.0, abs(momentum(u)))
+    before, after = invariants(0.0, u, mp).I2, invariants(0.0, out, mp).I2
+    assert abs(after - before) <= 100 * sp.fp_tol * max(1.0, abs(before))
 
 
 @pytest.mark.parametrize("s", [0.6, 0.75, 1.0])
@@ -733,22 +734,24 @@ def test_evolve_runs_backward(small_grid, s):
 
 
 def test_linear_flow_preserves_mode_moduli(small_grid):
-    mp = ModelParams(s=0.6, linear=True)
+    mp = ModelParams(s=0.6)
     u = smooth_random_field(small_grid, seed=61)
-    before = np.abs(forward_transform(u).modes)
-    out, _ = evolve(u, 1.0, yoshida_coefficients(2), SolverParams(k=1e-2), mp)
-    after = np.abs(forward_transform(out).modes)
+    before = np.abs(np.fft.fft(u.values) / small_grid.N)
+    out, _ = evolve(Field(LINEAR_SCALE * u.values, small_grid), 1.0,
+                    yoshida_coefficients(2), SolverParams(k=1e-2), mp)
+    after = np.abs(np.fft.fft(out.values / LINEAR_SCALE) / small_grid.N)
     assert np.max(np.abs(after - before)) <= 1e-13
 
 
 def test_linear_flow_matches_exact_propagator(small_grid):
     # modulus is exact; the phase error is the scheme's k^4 truncation
-    mp = ModelParams(s=1.0, linear=True)
+    mp = ModelParams(s=1.0)
     u = smooth_random_field(small_grid, seed=67, bandwidth=2.0)
-    out, _ = evolve(u, 0.5, yoshida_coefficients(2), SolverParams(k=1e-3), mp)
+    out, _ = evolve(Field(LINEAR_SCALE * u.values, small_grid), 0.5,
+                    yoshida_coefficients(2), SolverParams(k=1e-3), mp)
     sym = np.abs(small_grid.kappa) ** 2
     exact = np.fft.ifft(np.exp(-0.5j * sym) * np.fft.fft(u.values))
-    assert np.max(np.abs(out.values - exact)) <= 1e-8
+    assert np.max(np.abs(out.values / LINEAR_SCALE - exact)) <= 1e-8
 
 
 def test_evolve_step_accounting(small_grid):

@@ -10,9 +10,7 @@ from fnls import (
     ProfileDivergenceError,
     SolitonParams,
     SpectralGrid,
-    forward_transform,
     l2_norm,
-    linf_norm,
     nls_soliton,
     petviashvili_profile,
     residual_operator,
@@ -93,7 +91,7 @@ def test_petviashvili_recovers_classical_soliton():
     result = petviashvili_profile(g, 1.0, 1.0, 0.25)
     exact = nls_soliton(g, 0.0, SolitonParams(1.0, 0.25))
     assert result.residual <= 1e-10
-    assert linf_norm(Field(result.profile.values - exact.values, g)) <= 1e-8
+    assert np.max(np.abs(result.profile.values - exact.values)) <= 1e-8
     assert result.iterations >= 1
 
 
@@ -110,7 +108,7 @@ def test_petviashvili_fractional_profile():
     assert int(np.argmax(np.abs(vals))) == g.N // 2
     np.testing.assert_allclose(np.abs(vals[1:]), np.abs(vals[1:][::-1]),
                                rtol=0, atol=1e-10)
-    modes = forward_transform(result.profile).modes
+    modes = np.fft.fft(result.profile.values)
     assert np.max(np.abs(modes.imag)) <= 1e-9 * np.max(np.abs(modes.real))
 
 

@@ -1,8 +1,11 @@
-"""Print the raw and code line counts of each module of src/fnls, and totals.
+"""Print the raw and code line counts and the public-name count of each
+module of src/fnls, and totals.
 
 A code line is neither blank, nor a comment alone, nor part of a
-docstring (the string that opens a module, class or function body).
-Run from the repository root:
+docstring (the string that opens a module, class or function body).  A
+module's public names are the entries of its literal ``__all__`` list;
+the package's ``__init__`` concatenates those lists, so the total is the
+length of ``fnls.__all__``.  Run from the repository root:
 
     python tools/source_size.py
 """
@@ -26,25 +29,34 @@ def docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def count(path: Path) -> tuple[int, int]:
-    """(raw lines, code lines) of one source file."""
+def public_names(tree: ast.Module) -> int:
+    """Length of the module's literal __all__ list, 0 without one."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return len(node.value.elts)
+    return 0
+
+
+def count(path: Path) -> tuple[int, int, int]:
+    """(raw lines, code lines, public names) of one source file."""
     text = path.read_text()
     raw = text.splitlines()
-    docs = docstring_lines(ast.parse(text))
+    tree = ast.parse(text)
+    docs = docstring_lines(tree)
     code = sum(1 for i, line in enumerate(raw, 1)
                if i not in docs and line.strip() and not line.strip().startswith("#"))
-    return len(raw), code
+    return len(raw), code, public_names(tree)
 
 
 def main() -> int:
-    total_raw = total_code = 0
-    print(f"{'module':<16}{'raw':>7}{'code':>7}")
+    totals = [0, 0, 0]
+    print(f"{'module':<16}{'raw':>7}{'code':>7}{'names':>7}")
     for path in sorted(PACKAGE.glob("*.py")):
-        raw, code = count(path)
-        total_raw += raw
-        total_code += code
-        print(f"{path.name:<16}{raw:>7}{code:>7}")
-    print(f"{'total':<16}{total_raw:>7}{total_code:>7}")
+        counts = count(path)
+        totals = [t + c for t, c in zip(totals, counts)]
+        print(f"{path.name:<16}" + "".join(f"{c:>7}" for c in counts))
+    print(f"{'total':<16}" + "".join(f"{t:>7}" for t in totals))
     return 0
 
 
