@@ -6,19 +6,18 @@ table, write convergence.csv), ``profile`` (compute a Petviashvili
 profile, write profile.bin plus profile.json).
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
-failure.  FNLS_THREADS caps the parallelism of convergence sweeps.
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
-from .errors import FnlsError, ParameterError, TrackingError, check_count
+from .errors import FnlsError, ParameterError, TrackingError
 from .harness import (
     ConvergenceRow,
     InvariantRecorder,
@@ -82,15 +81,7 @@ def cmd_simulate(config: RunConfig, out: Path) -> int:
 
 
 def cmd_convergence(config: RunConfig, out: Path, dt_list: list[float]) -> int:
-    workers = None
-    env = os.environ.get("FNLS_THREADS")
-    if env is not None:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ParameterError(f"FNLS_THREADS: expected an integer, got {env!r}")
-        check_count("FNLS_THREADS", workers)
-    rows = convergence_study(config, dt_list, workers=workers)
+    rows = convergence_study(config, dt_list)
     print("dt,err_v,rate_v,err_w,rate_w")
     for r in rows:
         rv = "" if r.rate_v is None else f"{r.rate_v:.4f}"

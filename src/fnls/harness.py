@@ -1,14 +1,16 @@
 """Experiment harness: convergence tables, error growth in time,
-invariant drift, and solitary-wave amplitude/speed tracking.
+invariant recording, and solitary-wave amplitude/speed tracking.
 
-All studies consume a RunConfig and drive evolve(); independent runs
-(e.g. the rows of a convergence table) may execute in parallel worker
-processes since they share no mutable state.
+All studies consume a RunConfig and drive evolve(); the rows of a
+convergence table share no mutable state and run in parallel worker
+processes, by default (workers=None) min(rows, CPUs this process may
+use), so ``taskset`` or a cgroup caps the pool.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -27,7 +29,6 @@ __all__ = [
     "TrackRecord",
     "ErrorPoint",
     "ErrorGrowthResult",
-    "InvariantDriftResult",
     "InvariantRecorder",
     "FieldRecorder",
     "WaveTracker",
@@ -37,7 +38,6 @@ __all__ = [
     "component_errors",
     "convergence_study",
     "error_growth_study",
-    "invariant_drift_study",
 ]
 
 # Sliding-window length (in records) of the least-squares speed estimator.
@@ -79,16 +79,6 @@ class ErrorGrowthResult:
     series: list[ErrorPoint]
     slope: float
     fit_window: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class InvariantDriftResult:
-    """Invariant history plus max_t |Q(t) - Q(0)| / max(1, |Q(0)|) per Q."""
-
-    records: list[InvariantRecord]
-    drift_I1: float
-    drift_I2: float
-    drift_H: float
 
 
 class InvariantRecorder:
@@ -188,17 +178,26 @@ def _attach_rates(dts: list[float], errors: list[tuple[float, float]]) -> list[C
             for dt, (pv, pw), (ev, ew) in zip(dts, [(0.0, 0.0), *errors], errors)]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def convergence_study(config: RunConfig, dt_list: list[float],
                       workers: int | None = None) -> list[ConvergenceRow]:
     """Evolve s = 1 soliton data to T once per dt and tabulate errors and rates.
 
     Errors are measured against the exact soliton at time T, separately
     for the real and imaginary parts.  Rows run in up to ``workers``
-    processes (default: one per row), submitted smallest dt first (most
-    steps) so that the slowest row does not queue behind shorter ones;
-    results keep the order of dt_list.  A failed row aborts the study;
-    the rows before it in dt_list ride along on the raised
-    ConvergenceStudyError.
+    processes, submitted smallest dt first (most steps) so that the
+    slowest row does not queue behind shorter ones; results keep the
+    order of dt_list.  ``workers=None`` means min(len(dt_list), usable
+    CPUs): the CPUs in this process's affinity mask, or os.cpu_count()
+    where the OS keeps none.  With one worker the rows run in-process.
+    A failed row aborts the study; the rows before it in dt_list ride
+    along on the raised ConvergenceStudyError.
     """
     if workers is not None:
         check_count("workers", workers)
@@ -209,7 +208,7 @@ def convergence_study(config: RunConfig, dt_list: list[float],
     soliton = _soliton_reference(config)
     u0 = build_initial_field(config)
     reference = nls_soliton(u0.grid, config.T, soliton)
-    n_workers = len(dt_list) if workers is None else min(workers, len(dt_list))
+    n_workers = min(len(dt_list), _usable_cpus() if workers is None else workers)
     row = partial(_run_row, config, u0.values, reference.values)
     with ExitStack() as stack:
         if n_workers == 1:
@@ -292,29 +291,6 @@ def error_growth_study(config: RunConfig, checkpoint_times: list[float],
     log_e = np.log([e for _, e in pts])
     slope = float(np.polyfit(log_t, log_e, 1)[0])
     return ErrorGrowthResult(series=recorder.points, slope=slope, fit_window=fit_window)
-
-
-# --- invariant drift ---------------------------------------------------------
-
-def invariant_drift_study(config: RunConfig) -> InvariantDriftResult:
-    """Run the configured evolution and summarize invariant drift."""
-    u0 = build_initial_field(config)
-    scheme, sp, mp = config.problem()
-    recorder = InvariantRecorder(mp, stride=config.invariant_stride)
-    evolve(u0, config.T, scheme, sp, mp, observers=(recorder,))
-    records = recorder.records
-
-    def drift(values: list[float]) -> float:
-        q0 = values[0]
-        scale = max(1.0, abs(q0))
-        return max(abs(q - q0) for q in values) / scale
-
-    return InvariantDriftResult(
-        records=records,
-        drift_I1=drift([r.I1 for r in records]),
-        drift_I2=drift([r.I2 for r in records]),
-        drift_H=drift([r.H for r in records]),
-    )
 
 
 # --- wave tracking -----------------------------------------------------------

@@ -405,19 +405,6 @@ def test_convergence_uses_config_dt_by_default(tmp_path):
     assert float(lines[1].split(",")[0]) == SIM_CONFIG["dt"]
 
 
-def test_convergence_thread_cap(tmp_path, monkeypatch):
-    config = write_config(tmp_path, SIM_CONFIG)
-    monkeypatch.setenv("FNLS_THREADS", "2")
-    assert main(["convergence", "--config", str(config), "--output", str(tmp_path),
-                 "--dt", "0.02", "0.01"]) == EXIT_OK
-    monkeypatch.setenv("FNLS_THREADS", "0")
-    assert main(["convergence", "--config", str(config), "--output", str(tmp_path),
-                 "--dt", "0.02"]) == EXIT_CONFIG
-    monkeypatch.setenv("FNLS_THREADS", "lots")
-    assert main(["convergence", "--config", str(config), "--output", str(tmp_path),
-                 "--dt", "0.02"]) == EXIT_CONFIG
-
-
 def test_profile_outputs(tmp_path, capsys):
     config = write_config(tmp_path, {
         "L": 8 * np.pi, "N": 512, "s": 0.75, "dt": 0.01, "T": 0.1, "scheme_p": 2,

@@ -7,10 +7,8 @@ import contextlib
 import io
 import json
 import math
-import os
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
@@ -146,8 +144,7 @@ BAD_DTS = (0.0, -0.0, -0.1, 0.3, 0.15, math.inf, -math.inf, math.nan, -1e-05)
 @example(dts=[0.1, -math.inf])     # argparse by itself reads -inf and -1e-05
 @example(dts=[-1e-05])             # as options
 def test_convergence_exit_code_contract(dts):
-    with mock.patch.dict(os.environ, {"FNLS_THREADS": "1"}), \
-            tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(CONVERGENCE_CONFIG))
         argv = ["convergence", "--config", str(path), "--output", str(Path(tmp) / "out"),

@@ -1,5 +1,7 @@
+import concurrent.futures
 import math
 import multiprocessing
+import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 
@@ -23,7 +25,6 @@ from fnls import (
     component_errors,
     convergence_study,
     error_growth_study,
-    invariant_drift_study,
     nls_soliton,
     petviashvili_profile,
     write_snapshot,
@@ -93,7 +94,7 @@ def test_convergence_study_input_validation():
 
 @pytest.mark.parametrize("workers", [0, -1, 2.5, True])
 def test_convergence_study_rejects_bad_workers(workers):
-    # the check FNLS_THREADS gets; workers=None means one worker per row
+    # workers=None means one worker per usable CPU, at most one per row
     with pytest.raises(ParameterError, match="^workers: "):
         convergence_study(desk_config(), [1e-2], workers=workers)
 
@@ -143,6 +144,28 @@ def test_convergence_study_pool_keeps_unsorted_dt_order():
     par = convergence_study(desk_config(), dts, workers=2)
     assert [row.dt for row in par] == dts
     assert par == seq
+
+
+def test_convergence_study_pool_sized_from_usable_cpus(monkeypatch):
+    # workers=None runs min(len(dt_list), usable CPUs) workers, and the
+    # usable CPUs are the affinity mask, so taskset or a cgroup caps the pool
+    pools = []
+
+    class SpyPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    dts = [2e-2, 1e-2, 5e-3]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    in_process = convergence_study(desk_config(), dts)
+    assert pools == []
+    assert in_process == convergence_study(desk_config(), dts, workers=2)
+    assert pools == [2]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    convergence_study(desk_config(), dts)
+    assert pools == [2, 2]
 
 
 def test_error_growth_study_linear_in_time():
@@ -221,29 +244,10 @@ def test_error_growth_study_observes_only_checkpoint_steps(monkeypatch):
     assert [p.t for p in result.series] == [0.5, 1.0, 1.5]
 
 
-def test_invariant_drift_study_small_run():
-    # N = 512 resolves the soliton to ~1e-11, so aliasing cannot pollute
-    # the conserved quantities
-    config = desk_config(dt=1e-2, T=1.0)
-    result = invariant_drift_study(config)
-    assert len(result.records) == 101
-    assert result.drift_I1 <= 1e-10
-    assert result.drift_I2 <= 1e-10
-    # H is conserved only up to the k^4 truncation error of the scheme
-    assert result.drift_H <= 1e-6
-
-
-@pytest.mark.parametrize("stride", [2.5, 0])
-def test_invariant_drift_study_rejects_bad_stride(stride):
-    with pytest.raises(ParameterError, match="^invariant_stride:"):
-        invariant_drift_study(desk_config(invariant_stride=stride))
-
-
 @pytest.mark.parametrize("study", [
     lambda config: convergence_study(config, [1e-2], workers=1),
     lambda config: error_growth_study(config, [0.5, 1.0]),
-    invariant_drift_study,
-], ids=["convergence", "error_growth", "invariant_drift"])
+], ids=["convergence", "error_growth"])
 def test_studies_validate_config(study):
     # an out-of-range value is a bad configuration, not a numerical
     # failure (a ConvergenceStudyError) of the run it would start; with

@@ -12,7 +12,7 @@ MODULES = ("errors", "spectral", "model", "integrators", "waves", "io", "harness
 STABLE_EXPORTS = {
     "Coefficients", "CompositionScheme", "ConvergenceRow", "ConvergenceStudyError",
     "ErrorGrowthResult", "ErrorPoint", "Field", "FieldRecorder", "FnlsError",
-    "HsBoundDiagnostic", "InvariantDriftResult", "InvariantRecord",
+    "HsBoundDiagnostic", "InvariantRecord",
     "InvariantRecorder", "ModelParams", "ParameterError", "PetviashviliInitial",
     "ProfileDivergenceError", "ProfileFileInitial", "ProfileResult", "RunConfig",
     "RunStats", "Snapshot", "SnapshotWriter", "SolitonInitial", "SolitonParams",
@@ -20,8 +20,8 @@ STABLE_EXPORTS = {
     "TrackingError", "WaveTracker", "build_initial_field", "component_errors",
     "convergence_study", "derivative", "error_growth_study", "evolve",
     "exact_step_count", "forward_transform", "fractional_laplacian",
-    "hs_bound_diagnostic", "hs_norm", "imr_stage_solve", "invariant_drift_study",
-    "invariants", "inverse_transform", "l2_norm", "load_config", "nls_soliton",
+    "hs_bound_diagnostic", "hs_norm", "imr_stage_solve", "invariants",
+    "inverse_transform", "l2_norm", "load_config", "nls_soliton",
     "nonlinearity", "petviashvili_profile", "read_snapshot", "residual_operator",
     "rhs", "step", "write_snapshot", "yoshida_coefficients",
 }
