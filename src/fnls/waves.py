@@ -7,18 +7,28 @@ fractional NLS satisfies the profile equation
     (lambda1 + (-d_xx)^s) Phi + i lambda2 Phi' - |Phi|^2 Phi = 0.
 
 For s = 1 the solution is explicit (sech profile); for s < 1 the profile
-is computed with the Petviashvili iteration in Fourier space.
+is computed with the Petviashvili iteration in Fourier space, Anderson
+mixed: each next iterate combines the plain map image with the last DEPTH
+differences of images and map residuals, by real least-squares weights.
+That removes the single slow mode of the plain iteration (a rate of about
+0.59 per iteration at s = 0.75): the README profile takes 15 iterations
+instead of 48.  The returned profile is always a plain map image, with
+the residual and iteration count of the solve.  An iteration costs two
+transforms, run like the stage kernel of integrators (pocketfft gufuncs,
+buffers allocated once per solve), plus a fixed number of passes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ParameterError, ProfileDivergenceError, check_count,
                      check_finite, check_positive_finite)
-from .spectral import Field, SpectralGrid, check_s, derivative, fractional_laplacian
+from .spectral import (Field, SpectralGrid, check_s, derivative, fft, fractional_laplacian,
+                       ifft)
 
 __all__ = [
     "SolitonParams",
@@ -102,27 +112,66 @@ def _profile_symbol(grid: SpectralGrid, s: float, lambda1: float,
     return lambda1 + grid.fractional_symbol(s) - lambda2 * drift
 
 
+# Anderson mixing depth: the number of past iterate and map-residual
+# differences each mixed step combines.  On the N = 4096, s = 0.75 profile,
+# depth 1, 2, 3 and 4 took 25, 19, 15 and 16 iterations (plain: 48).
+DEPTH = 3
+
+# the forward transform's scale as a 0-d array, which the pocketfft gufunc
+# takes without converting a Python float (as in integrators)
+ONE = np.array(1.0)
+
+
+def _mixing_weights(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """Real least-squares weights from the normal equations gram w = rhs,
+    or None where the system is singular or not finite."""
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        return None
+    try:
+        weights = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    return weights if np.isfinite(weights).all() else None
+
+
 def petviashvili_profile(grid: SpectralGrid, s: float, lambda1: float,
                          lambda2: float, tol: float = PROFILE_TOL,
                          max_iters: int = 500) -> ProfileResult:
-    """Compute a solitary-wave profile by the Petviashvili iteration.
+    """Compute a solitary-wave profile by the Anderson-mixed Petviashvili
+    iteration.
 
-    Iterates in coefficient space,
+    The Petviashvili map acts in coefficient space,
 
-        Phi_hat <- m^(3/2) G_hat / l,   G = |Phi|^2 Phi,
+        F(Phi_hat) = m^(3/2) G_hat / l,   G = |Phi|^2 Phi,
         m = sum_k l(k) |Phi_hat(k)|^2 / sum_k G_hat(k) conj(Phi_hat(k)),
 
     with stabilization exponent 3/2 (the optimal value for a cubic
     nonlinearity).  The initial iterate is the s = 1 soliton with the
-    same (lambda1, lambda2).  Stops when the relative l2 change of the
-    iterate is <= tol and the profile-equation residual is <= 100 tol.
+    same (lambda1, lambda2).  Stops when the relative l2 change
+    ||F(Phi_n) - Phi_n|| / ||F(Phi_n)|| is <= tol and the profile-equation
+    residual of the next iterate is <= 100 tol.
 
-    Phi_hat is carried from one iteration to the next, so an iteration
-    costs two transforms: Phi = ifft(Phi_hat) and G_hat = fft(G).  The
-    residual of iterate n is read in coefficient space from the G_hat the
-    next update needs anyway, as sqrt(h / N) ||l Phi_hat - G_hat||: l drops
-    the drift at the Nyquist mode exactly as residual_operator does, so by
-    Parseval this is residual_operator's l2 norm.
+    The next iterate is mixed from the last DEPTH differences of map
+    images and map residuals f_n = F(Phi_n) - Phi_n (Anderson type II):
+
+        Phi_{n+1} = F(Phi_n) - sum_i w_i (F(Phi_{i+1}) - F(Phi_i)),
+
+    with real weights w minimizing ||f_n - sum_i w_i (f_{i+1} - f_i)||
+    (normal equations of np.vdot inner products).  Real weights keep the
+    conjugate symmetry of the iterates.  The first iteration, one whose
+    normal equations are singular or not finite, and the iteration that
+    passes the change test take the plain step Phi_{n+1} = F(Phi_n), so
+    the returned profile is a plain Petviashvili image.  An iteration whose
+    ||f_n|| exceeds ||f_{n-1}|| also takes the plain step and drops the
+    differences held so far: far from the profile, stale differences can
+    keep the mixed iteration from converging where the plain one does.
+
+    An iteration costs two transforms, Phi = ifft(Phi_hat) and
+    G_hat = fft(G), a fixed number of passes over buffers allocated once
+    per call, and a DEPTH x DEPTH solve.  The residual of iterate n is
+    read in coefficient space as sqrt(h / N) ||l Phi_hat - G_hat||: l
+    drops the drift at the Nyquist mode exactly as residual_operator
+    does, so by Parseval this is residual_operator's l2 norm.
     """
     check_s(s, lo=0.5)
     check_finite("lambda1", lambda1)
@@ -136,23 +185,71 @@ def petviashvili_profile(grid: SpectralGrid, s: float, lambda1: float,
             f"positive for all grid modes; min = {float(np.min(ell)):.6g}"
         )
 
+    N = grid.N
     vals = nls_soliton(grid, 0.0, SolitonParams(lambda1, lambda2)).values
-    phi_hat = np.fft.fft(vals)
-    g_hat = np.fft.fft(np.abs(vals) ** 2 * vals)
-    res_scale = np.sqrt(grid.h / grid.N)    # l2 norm of X from fft(X)
+    inv_ell = 1.0 / ell
+    inverse_scale = np.array(1.0 / N)
+    power = np.array(0.0)                       # m^(3/2), a 0-d array as ONE
+    res_scale = math.sqrt(grid.h / N)           # l2 norm of X from fft(X)
+    phi_hat = fft(vals, ONE, out=np.empty(N, dtype=complex))
+    g_hat = np.empty(N, dtype=complex)
+    work = np.empty(N, dtype=complex)           # G, then l Phi_hat - G_hat
+    ell_phi = np.empty(N, dtype=complex)        # l Phi_hat
+    # Slot `latest` of the rings holds F(Phi_n) and f_n; the other slots
+    # hold the differences F(Phi_{i+1}) - F(Phi_i) and f_{i+1} - f_i,
+    # the newest in the slot before `latest`.
+    images = np.empty((DEPTH + 1, N), dtype=complex)
+    residuals = np.empty((DEPTH + 1, N), dtype=complex)
+    gram = np.empty((DEPTH + 1, DEPTH + 1))    # gram[i, j] = Re <df_i, df_j>
+    latest, held = -1, 0                        # held: differences in the rings
+    last_norm = math.inf                        # ||f_{n-1}||
+
+    def cubic_and_residual() -> float:
+        # G_hat = fft(|Phi|^2 Phi) of vals, and the residual of phi_hat
+        np.conjugate(vals, work)
+        np.multiply(work, vals, work)
+        np.multiply(work, vals, work)
+        fft(work, ONE, g_hat)
+        np.multiply(ell, phi_hat, ell_phi)
+        np.subtract(ell_phi, g_hat, work)
+        return res_scale * math.sqrt(np.vdot(work, work).real)
+
+    cubic_and_residual()
     residual_history: list[float] = []
     for it in range(1, max_iters + 1):
         # Both sums are real up to roundoff (Parseval pairs them with
         # real-valued nodal sums); keep the real parts.
-        num = float(np.sum(ell * np.abs(phi_hat) ** 2))
-        den = float(np.real(np.sum(g_hat * np.conj(phi_hat))))
-        m = num / den
-        new_hat = m**1.5 * g_hat / ell
-        change = np.linalg.norm(new_hat - phi_hat) / np.linalg.norm(new_hat)
-        phi_hat = new_hat
-        vals = np.fft.ifft(phi_hat)
-        g_hat = np.fft.fft(np.abs(vals) ** 2 * vals)
-        res = float(res_scale * np.linalg.norm(ell * phi_hat - g_hat))
+        m = float(np.vdot(phi_hat, ell_phi).real) / float(np.vdot(phi_hat, g_hat).real)
+        power[()] = m ** 1.5
+        previous, latest = latest, (latest + 1) % (DEPTH + 1)
+        image, residual = images[latest], residuals[latest]
+        np.multiply(g_hat, inv_ell, image)
+        np.multiply(image, power, image)
+        np.subtract(image, phi_hat, residual)
+        norm = math.sqrt(np.vdot(residual, residual).real)
+        change = norm / math.sqrt(np.vdot(image, image).real)
+        if norm > last_norm:
+            previous, held = -1, 0      # restart: forget the differences
+        last_norm = norm
+        weights = None
+        if previous >= 0:
+            np.subtract(image, images[previous], images[previous])
+            np.subtract(residual, residuals[previous], residuals[previous])
+            held = min(held + 1, DEPTH)
+            slots = [(latest - i) % (DEPTH + 1) for i in range(1, held + 1)]
+            for j in slots:
+                gram[previous, j] = gram[j, previous] = np.vdot(
+                    residuals[j], residuals[previous]).real
+            if change > tol:
+                rhs = np.array([np.vdot(residuals[j], residual).real for j in slots])
+                weights = _mixing_weights(gram[np.ix_(slots, slots)], rhs)
+        np.copyto(phi_hat, image)
+        if weights is not None:
+            for j, w in zip(slots, weights):
+                np.multiply(images[j], w, work)
+                np.subtract(phi_hat, work, phi_hat)
+        ifft(phi_hat, inverse_scale, vals)
+        res = cubic_and_residual()
         residual_history.append(res)
         if change <= tol and res <= 100.0 * tol:
             return ProfileResult(profile=Field(vals, grid), residual=res, iterations=it)

@@ -15,6 +15,7 @@ from fnls import (
     petviashvili_profile,
     residual_operator,
 )
+from fnls import waves
 
 
 def test_soliton_params():
@@ -183,3 +184,98 @@ def test_petviashvili_converges_on_coarse_grids():
         assert result.residual <= 1e-10
         assert l2_norm(residual_operator(result.profile, 0.75, 1.0, 0.25)) == pytest.approx(
             result.residual, rel=1e-3, abs=0)
+
+
+def plain_petviashvili(grid, s, lambda1, lambda2, tol=1e-12, max_iters=500):
+    """The unmixed Petviashvili iteration with np.fft: the same start, map
+    and stop rule as petviashvili_profile, every step a plain one.
+    Returns (profile values, residual, iterations)."""
+    k = np.fft.fftfreq(grid.N, 1.0 / grid.N)
+    kappa = np.pi * k / grid.L
+    drift = np.where(k == -grid.N // 2, 0.0, kappa)
+    ell = lambda1 + np.abs(kappa) ** (2 * s) - lambda2 * drift
+    vals = nls_soliton(grid, 0.0, SolitonParams(lambda1, lambda2)).values
+    phi_hat = np.fft.fft(vals)
+    g_hat = np.fft.fft(np.abs(vals) ** 2 * vals)
+    for it in range(1, max_iters + 1):
+        m = (np.sum(ell * np.abs(phi_hat) ** 2)
+             / np.real(np.sum(g_hat * np.conj(phi_hat))))
+        new_hat = m**1.5 * g_hat / ell
+        change = np.linalg.norm(new_hat - phi_hat) / np.linalg.norm(new_hat)
+        phi_hat = new_hat
+        vals = np.fft.ifft(phi_hat)
+        g_hat = np.fft.fft(np.abs(vals) ** 2 * vals)
+        res = math.sqrt(grid.h / grid.N) * np.linalg.norm(ell * phi_hat - g_hat)
+        if change <= tol and res <= 100 * tol:
+            return vals, res, it
+    raise AssertionError("the plain iteration did not converge")
+
+
+PLAIN_CASES = [(s, 1.0, lambda2, N, 16 * np.pi)
+               for s in (0.55, 0.75, 1.0) for lambda2 in (0.0, 0.25) for N in (64, 256)]
+# a narrow wave far from the s = 1 start, 95 plain iterations: mixing that
+# kept its differences when the map residual grew wandered at a residual
+# near 0.1 here and never converged
+PLAIN_CASES.append((0.52, 8.0, 1.4, 512, 9 * np.pi))
+
+
+@pytest.mark.parametrize("s, lambda1, lambda2, N, L", PLAIN_CASES)
+def test_petviashvili_matches_plain_iteration(s, lambda1, lambda2, N, L):
+    # mixing changes only the path to the fixed point, and on these waves
+    # never lengthens it
+    grid = SpectralGrid(N, L)
+    ref_vals, _, ref_iters = plain_petviashvili(grid, s, lambda1, lambda2)
+    result = petviashvili_profile(grid, s, lambda1, lambda2)
+    assert np.max(np.abs(result.profile.values - ref_vals)) <= 1e-10
+    assert result.residual <= 100 * 1e-12
+    assert result.iterations <= ref_iters
+
+
+def test_petviashvili_mixing_cuts_iterations():
+    # criterion 09's profile: 48 plain iterations
+    result = petviashvili_profile(SpectralGrid(1024, 16 * np.pi), 0.75, 1.0, 0.25)
+    assert result.iterations <= 20
+
+
+@pytest.mark.parametrize("failure", ["singular", "nan"])
+def test_petviashvili_mixing_falls_back_to_plain_steps(monkeypatch, failure):
+    # normal equations that cannot be solved make every step a plain one:
+    # no LinAlgError or warning escapes, and the plain iteration's profile,
+    # residual and iteration count come out
+    def solve(a, b):
+        if failure == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full_like(b, np.nan)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    grid = SpectralGrid(256, 16 * np.pi)
+    ref_vals, ref_res, ref_iters = plain_petviashvili(grid, 0.75, 1.0, 0.25)
+    result = petviashvili_profile(grid, 0.75, 1.0, 0.25)
+    assert result.iterations == ref_iters
+    np.testing.assert_allclose(result.profile.values, ref_vals, rtol=0, atol=1e-13)
+    assert result.residual == pytest.approx(ref_res, rel=1e-3)
+    with pytest.raises(ProfileDivergenceError) as info:
+        petviashvili_profile(grid, 0.75, 1.0, 0.25, max_iters=5)
+    assert len(info.value.residual_history) == info.value.iterations == 5
+
+
+def test_petviashvili_two_transforms_per_iteration(monkeypatch):
+    # two transforms to start, two per iteration, all through the pocketfft
+    # gufuncs: no np.fft call
+    calls = [0]
+
+    def counted(transform):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return transform(*args, **kwargs)
+        return wrapper
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.fft called")
+
+    monkeypatch.setattr(waves, "fft", counted(waves.fft))
+    monkeypatch.setattr(waves, "ifft", counted(waves.ifft))
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, forbidden)
+    result = petviashvili_profile(SpectralGrid(512, 16 * np.pi), 0.75, 1.0, 0.25)
+    assert calls[0] == 2 * result.iterations + 2
