@@ -16,7 +16,7 @@ import fnls
 
 def main():
     config = fnls.RunConfig(L=16 * np.pi, N=512, s=1.0, dt=1.25e-2, T=50.0,
-                            scheme_p=2, initial=fnls.SolitonInitial(1.0, 0.25))
+                            scheme_p=2, initial=fnls.SolitonParams(1.0, 0.25))
     checkpoints = [5.0 * i for i in range(1, 11)]
     result = fnls.error_growth_study(config, checkpoints, fit_window=(5.0, 50.0))
 

@@ -17,7 +17,7 @@ DTS = [2.5e-2, 1.25e-2, 6.25e-3, 3.125e-3]
 def main():
     for p, label in ((2, "q = 3 (order 4)"), (1, "q = 1 (order 2)")):
         config = fnls.RunConfig(L=16 * np.pi, N=512, s=1.0, dt=DTS[0], T=10.0,
-                                scheme_p=p, initial=fnls.SolitonInitial(1.0, 0.25))
+                                scheme_p=p, initial=fnls.SolitonParams(1.0, 0.25))
         rows = fnls.convergence_study(config, DTS)
         print(f"\n{label}")
         print(f"{'dt':>10} {'err_v':>12} {'rate_v':>8} {'err_w':>12} {'rate_w':>8}")

@@ -42,7 +42,7 @@ import numpy as np
 from .errors import (ParameterError, StageDivergenceError, check_count,
                      check_positive_finite)
 from .model import ModelParams
-from .spectral import Field, SpectralGrid, fft, ifft
+from .spectral import ONE, Field, SpectralGrid, fft, ifft
 
 __all__ = [
     "MAX_COMPOSITION_LEVEL",
@@ -187,12 +187,11 @@ class _StepContext:
         self.base = np.empty(N, dtype=complex)      # pre_j fft(Y_prev)
 
 
-# factors of 3 w (g1 - w (g2 - w g3 / 3)), as complex 0-d arrays, and the
-# forward transform's scale, which a ufunc takes without the conversion a
-# Python scalar costs each call; ufuncs take out positionally for the same
-# reason, except np.maximum, whose positional out numpy 2.4 deprecates
+# factors of 3 w (g1 - w (g2 - w g3 / 3)), as complex 0-d arrays, which a
+# ufunc takes without the conversion a Python scalar costs each call (as
+# the transforms take spectral.ONE); ufuncs take out positionally for the
+# same reason, except np.maximum, whose positional out numpy 2.4 deprecates
 THIRD, THREE = (np.array(f, dtype=complex) for f in (1.0 / 3.0, 3.0))
-ONE = np.array(1.0)
 TINY = np.array(np.finfo(float).tiny)
 
 

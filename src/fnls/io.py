@@ -27,10 +27,9 @@ from .integrators import (MAX_COMPOSITION_LEVEL, CompositionScheme, SolverParams
                           exact_step_count, yoshida_coefficients)
 from .model import ModelParams
 from .spectral import Field, SpectralGrid, check_grid, check_s
-from .waves import PROFILE_TOL, SolitonParams as SolitonInitial
+from .waves import PROFILE_TOL, SolitonParams
 
 __all__ = [
-    "SolitonInitial",
     "ProfileFileInitial",
     "PetviashviliInitial",
     "InitialSpec",
@@ -60,11 +59,11 @@ class PetviashviliInitial:
     tol: float = PROFILE_TOL
 
     def __post_init__(self) -> None:
-        SolitonInitial(self.lambda1, self.lambda2)     # the iteration's start
+        SolitonParams(self.lambda1, self.lambda2)     # the iteration's start
         check_positive_finite("tol", self.tol)
 
 
-InitialSpec = Union[SolitonInitial, ProfileFileInitial, PetviashviliInitial]
+InitialSpec = Union[SolitonParams, ProfileFileInitial, PetviashviliInitial]
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ def _take(data: dict, out: dict, key: str, kind: Any, where: str = "",
 
 # kind -> (spec type, the parser its values share, the spec's fields: its keys)
 _INITIAL_KINDS = {kind: (spec_type, parse, fields(spec_type)) for kind, spec_type, parse in (
-    ("soliton", SolitonInitial, float), ("profile_file", ProfileFileInitial, Path),
+    ("soliton", SolitonParams, float), ("profile_file", ProfileFileInitial, Path),
     ("petviashvili", PetviashviliInitial, float))}
 
 

@@ -48,6 +48,9 @@ __all__ = [
 # is ifft(a, 1 / N) and np.fft.ifft(a, norm="forward") is ifft(a, 1.0).
 fft = _pocketfft_umath.fft
 ifft = _pocketfft_umath.ifft
+# fct = 1 as a 0-d array, which the gufuncs take without converting a
+# Python float on each call
+ONE = np.array(1.0)
 
 
 def check_grid(N, L) -> None:

@@ -13,22 +13,25 @@ differences of images and map residuals, by real least-squares weights.
 That removes the single slow mode of the plain iteration (a rate of about
 0.59 per iteration at s = 0.75): the README profile takes 15 iterations
 instead of 48.  The returned profile is always a plain map image, with
-the residual and iteration count of the solve.  An iteration costs two
-transforms, run like the stage kernel of integrators (pocketfft gufuncs,
-buffers allocated once per solve), plus a fixed number of passes.
+the residual and iteration count of the solve.  The differences are held
+as a deque of at most DEPTH pairs, newest first, from which each mixed
+step forms its normal equations.  An iteration costs two transforms, run
+like the stage kernel of integrators (pocketfft gufuncs with 0-d scales),
+plus a fixed number of passes.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ParameterError, ProfileDivergenceError, check_count,
                      check_finite, check_positive_finite)
-from .spectral import (Field, SpectralGrid, check_s, derivative, fft, fractional_laplacian,
-                       ifft)
+from .spectral import (ONE, Field, SpectralGrid, check_s, derivative, fft,
+                       fractional_laplacian, ifft)
 
 __all__ = [
     "SolitonParams",
@@ -117,10 +120,6 @@ def _profile_symbol(grid: SpectralGrid, s: float, lambda1: float,
 # depth 1, 2, 3 and 4 took 25, 19, 15 and 16 iterations (plain: 48).
 DEPTH = 3
 
-# the forward transform's scale as a 0-d array, which the pocketfft gufunc
-# takes without converting a Python float (as in integrators)
-ONE = np.array(1.0)
-
 
 def _mixing_weights(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """Real least-squares weights from the normal equations gram w = rhs,
@@ -165,10 +164,15 @@ def petviashvili_profile(grid: SpectralGrid, s: float, lambda1: float,
     ||f_n|| exceeds ||f_{n-1}|| also takes the plain step and drops the
     differences held so far: far from the profile, stale differences can
     keep the mixed iteration from converging where the plain one does.
+    The differences are held in a deque of at most DEPTH pairs
+    (F(Phi_{i+1}) - F(Phi_i), f_{i+1} - f_i), newest first; each mixed
+    step forms its DEPTH x DEPTH normal equations from them anew.
 
     An iteration costs two transforms, Phi = ifft(Phi_hat) and
-    G_hat = fft(G), a fixed number of passes over buffers allocated once
-    per call, and a DEPTH x DEPTH solve.  The residual of iterate n is
+    G_hat = fft(G), a fixed number of passes, and a DEPTH x DEPTH solve.
+    Raises ProfileDivergenceError after max_iters iterations, or at once
+    when m is not finite and positive: for an extreme lambda1 the sum
+    N sum |Phi|^4 underflows to 0 or overflows.  The residual of iterate n is
     read in coefficient space as sqrt(h / N) ||l Phi_hat - G_hat||: l
     drops the drift at the Nyquist mode exactly as residual_operator
     does, so by Parseval this is residual_operator's l2 norm.
@@ -189,67 +193,53 @@ def petviashvili_profile(grid: SpectralGrid, s: float, lambda1: float,
     vals = nls_soliton(grid, 0.0, SolitonParams(lambda1, lambda2)).values
     inv_ell = 1.0 / ell
     inverse_scale = np.array(1.0 / N)
-    power = np.array(0.0)                       # m^(3/2), a 0-d array as ONE
     res_scale = math.sqrt(grid.h / N)           # l2 norm of X from fft(X)
     phi_hat = fft(vals, ONE, out=np.empty(N, dtype=complex))
     g_hat = np.empty(N, dtype=complex)
-    work = np.empty(N, dtype=complex)           # G, then l Phi_hat - G_hat
-    ell_phi = np.empty(N, dtype=complex)        # l Phi_hat
-    # Slot `latest` of the rings holds F(Phi_n) and f_n; the other slots
-    # hold the differences F(Phi_{i+1}) - F(Phi_i) and f_{i+1} - f_i,
-    # the newest in the slot before `latest`.
-    images = np.empty((DEPTH + 1, N), dtype=complex)
-    residuals = np.empty((DEPTH + 1, N), dtype=complex)
-    gram = np.empty((DEPTH + 1, DEPTH + 1))    # gram[i, j] = Re <df_i, df_j>
-    latest, held = -1, 0                        # held: differences in the rings
+    # (F(Phi_{i+1}) - F(Phi_i), f_{i+1} - f_i), newest first
+    history: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=DEPTH)
+    last = None                                 # (F(Phi_n), f_n)
     last_norm = math.inf                        # ||f_{n-1}||
 
-    def cubic_and_residual() -> float:
-        # G_hat = fft(|Phi|^2 Phi) of vals, and the residual of phi_hat
-        np.conjugate(vals, work)
-        np.multiply(work, vals, work)
-        np.multiply(work, vals, work)
-        fft(work, ONE, g_hat)
-        np.multiply(ell, phi_hat, ell_phi)
-        np.subtract(ell_phi, g_hat, work)
-        return res_scale * math.sqrt(np.vdot(work, work).real)
+    def cubic_and_residual() -> tuple[np.ndarray, float]:
+        # G_hat = fft(|Phi|^2 Phi) of vals, l Phi_hat and the residual of phi_hat
+        fft(np.conjugate(vals) * vals * vals, ONE, g_hat)
+        ell_phi = ell * phi_hat
+        gap = ell_phi - g_hat
+        return ell_phi, res_scale * math.sqrt(np.vdot(gap, gap).real)
 
-    cubic_and_residual()
+    ell_phi, _ = cubic_and_residual()
     residual_history: list[float] = []
     for it in range(1, max_iters + 1):
         # Both sums are real up to roundoff (Parseval pairs them with
         # real-valued nodal sums); keep the real parts.
-        m = float(np.vdot(phi_hat, ell_phi).real) / float(np.vdot(phi_hat, g_hat).real)
-        power[()] = m ** 1.5
-        previous, latest = latest, (latest + 1) % (DEPTH + 1)
-        image, residual = images[latest], residuals[latest]
-        np.multiply(g_hat, inv_ell, image)
-        np.multiply(image, power, image)
-        np.subtract(image, phi_hat, residual)
+        quartic = float(np.vdot(phi_hat, g_hat).real)
+        m = float(np.vdot(phi_hat, ell_phi).real) / quartic if quartic else 0.0
+        if not 0.0 < m < math.inf:
+            raise ProfileDivergenceError(it - 1, residual_history)
+        image = g_hat * inv_ell * m ** 1.5
+        residual = image - phi_hat
         norm = math.sqrt(np.vdot(residual, residual).real)
         change = norm / math.sqrt(np.vdot(image, image).real)
         if norm > last_norm:
-            previous, held = -1, 0      # restart: forget the differences
-        last_norm = norm
+            history.clear()             # restart: forget the differences
+        elif last is not None:
+            history.appendleft((image - last[0], residual - last[1]))
+        last, last_norm = (image, residual), norm
         weights = None
-        if previous >= 0:
-            np.subtract(image, images[previous], images[previous])
-            np.subtract(residual, residuals[previous], residuals[previous])
-            held = min(held + 1, DEPTH)
-            slots = [(latest - i) % (DEPTH + 1) for i in range(1, held + 1)]
-            for j in slots:
-                gram[previous, j] = gram[j, previous] = np.vdot(
-                    residuals[j], residuals[previous]).real
-            if change > tol:
-                rhs = np.array([np.vdot(residuals[j], residual).real for j in slots])
-                weights = _mixing_weights(gram[np.ix_(slots, slots)], rhs)
-        np.copyto(phi_hat, image)
+        if history and change > tol:
+            d_res = [d_residual for _, d_residual in history]
+            # gram[i][j] = Re <df_i, df_j>, the older difference first
+            gram = np.array([[np.vdot(d_res[max(i, j)], d_res[min(i, j)]).real
+                              for j in range(len(d_res))] for i in range(len(d_res))])
+            rhs = np.array([np.vdot(d_residual, residual).real for d_residual in d_res])
+            weights = _mixing_weights(gram, rhs)
+        phi_hat = image
         if weights is not None:
-            for j, w in zip(slots, weights):
-                np.multiply(images[j], w, work)
-                np.subtract(phi_hat, work, phi_hat)
+            for (d_image, _), w in zip(history, weights):
+                phi_hat = phi_hat - d_image * w
         ifft(phi_hat, inverse_scale, vals)
-        res = cubic_and_residual()
+        ell_phi, res = cubic_and_residual()
         residual_history.append(res)
         if change <= tol and res <= 100.0 * tol:
             return ProfileResult(profile=Field(vals, grid), residual=res, iterations=it)

@@ -20,7 +20,7 @@ def _verdict(criterion, ok, detail):
 def _desk_config(scheme_p):
     return fnls.RunConfig(L=DESK_L, N=512, s=1.0, dt=2.5e-2, T=10.0,
                           scheme_p=scheme_p,
-                          initial=fnls.SolitonInitial(1.0, 0.25))
+                          initial=fnls.SolitonParams(1.0, 0.25))
 
 
 def _smooth_field(grid, rng, amplitude=1.0, bandwidth=4.0):
@@ -150,7 +150,7 @@ def test_criterion_05_hamiltonian_near_conservation():
 
 def test_criterion_06_linear_error_growth():
     cfg = fnls.RunConfig(L=DESK_L, N=512, s=1.0, dt=1.25e-2, T=50.0, scheme_p=2,
-                         initial=fnls.SolitonInitial(1.0, 0.25))
+                         initial=fnls.SolitonParams(1.0, 0.25))
     res = fnls.error_growth_study(cfg, [5.0 * i for i in range(1, 11)],
                                   fit_window=(5.0, 50.0))
     ok = 0.8 <= res.slope <= 1.2

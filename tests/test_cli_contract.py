@@ -104,9 +104,16 @@ def test_simulate_exit_code_contract(config):
     check_contract("simulate", config)
 
 
+# a Petviashvili start whose quartic sum N sum |Phi|^4 underflows to 0
+UNDERFLOWING_PROFILE = {"L": 16 * math.pi, "N": 256, "s": 0.75, "dt": 0.1, "T": 0.1,
+                        "scheme_p": 1,
+                        "initial": {"kind": "petviashvili", "lambda1": 1e-200}}
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(config=configs())
+@example(config=UNDERFLOWING_PROFILE)
 def test_profile_exit_code_contract(config):
     check_contract("profile", config)
 

@@ -15,7 +15,6 @@ from fnls import (
     ParameterError,
     PetviashviliInitial,
     RunConfig,
-    SolitonInitial,
     SolitonParams,
     SpectralGrid,
     StageDivergenceError,
@@ -33,7 +32,7 @@ from fnls import ProfileFileInitial
 from fnls.harness import SPEED_WINDOW
 
 DESK = dict(L=16 * np.pi, N=512, s=1.0, T=1.0, scheme_p=2,
-            initial=SolitonInitial(lambda1=1.0, lambda2=0.25))
+            initial=SolitonParams(lambda1=1.0, lambda2=0.25))
 
 
 def desk_config(**overrides):
@@ -65,7 +64,7 @@ def test_convergence_study_gauge_invariance():
     dts = [2e-2, 1e-2]
     plain = convergence_study(desk_config(), dts)
     rotated = convergence_study(
-        desk_config(initial=SolitonInitial(lambda1=1.0, lambda2=0.25, theta0=1.3)), dts)
+        desk_config(initial=SolitonParams(lambda1=1.0, lambda2=0.25, theta0=1.3)), dts)
     for a, b in zip(plain, rotated):
         assert math.hypot(b.err_v, b.err_w) == pytest.approx(
             math.hypot(a.err_v, a.err_w), rel=1e-6)

@@ -12,7 +12,6 @@ from fnls import (
     ModelParams,
     ParameterError,
     RunConfig,
-    SolitonInitial,
     SolitonParams,
     SolverParams,
     SpectralGrid,
@@ -129,7 +128,7 @@ def test_exact_step_count_rejects_overflow(small_grid):
         evolve(u, math.inf, yoshida_coefficients(1), SolverParams(k=0.1), ModelParams(s=1.0))
     with pytest.raises(ParameterError, match="^T:"):
         RunConfig(L=np.pi, N=64, s=1.0, dt=0.1, T=math.inf, scheme_p=1,
-                  initial=SolitonInitial(1.0))
+                  initial=SolitonParams(1.0))
 
 
 def test_stage_zero_field_converges_immediately(small_grid):
@@ -422,7 +421,7 @@ def test_evolve_plane_wave_with_zero_increments(small_grid):
 
 def _soliton_mean_iterations(dt):
     cfg = RunConfig(L=16 * np.pi, N=512, s=1.0, dt=dt, T=5.0, scheme_p=2,
-                    initial=SolitonInitial(1.0, 0.25))
+                    initial=SolitonParams(1.0, 0.25))
     u0 = nls_soliton(SpectralGrid(cfg.N, cfg.L), 0.0, cfg.initial)
     _, stats = evolve(u0, cfg.T, *cfg.problem())
     return stats.mean_fp_iterations

@@ -15,7 +15,6 @@ from fnls import (
     PetviashviliInitial,
     ProfileFileInitial,
     RunConfig,
-    SolitonInitial,
     SolitonParams,
     SpectralGrid,
     evolve,
@@ -53,7 +52,7 @@ def test_load_config_round_trip(tmp_path):
     assert config.N == 512
     assert config.dt == 0.025
     assert config.scheme_p == 2
-    assert config.initial == SolitonInitial(lambda1=1.0, lambda2=0.25)
+    assert config.initial == SolitonParams(lambda1=1.0, lambda2=0.25)
     assert config.fp_tol == 1e-13          # defaults
     assert config.snapshot_stride == 100
     # each default has one home, the dataclass: a minimal file's config is
@@ -61,8 +60,8 @@ def test_load_config_round_trip(tmp_path):
     minimal = {**GOOD_CONFIG, "initial": {"kind": "soliton", "lambda1": 1.0}}
     required = {key: value for key, value in minimal.items() if key != "initial"}
     assert load_config(write_config(tmp_path, minimal)) == RunConfig(
-        **required, initial=SolitonInitial(lambda1=1.0))
-    for kind, spec_type in (("soliton", SolitonInitial),
+        **required, initial=SolitonParams(lambda1=1.0))
+    for kind, spec_type in (("soliton", SolitonParams),
                             ("petviashvili", PetviashviliInitial)):
         data = {**GOOD_CONFIG, "initial": {"kind": kind, "lambda1": 1.0}}
         assert load_config(write_config(tmp_path, data)).initial == spec_type(lambda1=1.0)
@@ -88,7 +87,7 @@ def test_load_config_initial_kinds(tmp_path):
     # each spec's fields are its kind's keys: a file can set every one
     for initial, spec in (
             ({"kind": "soliton", "lambda1": 1.0, "lambda2": 0.25, "x0": -3.0, "theta0": 0.5},
-             SolitonInitial(lambda1=1.0, lambda2=0.25, x0=-3.0, theta0=0.5)),
+             SolitonParams(lambda1=1.0, lambda2=0.25, x0=-3.0, theta0=0.5)),
             ({"kind": "petviashvili", "lambda1": 2.0, "lambda2": 0.5, "tol": 1e-9},
              PetviashviliInitial(lambda1=2.0, lambda2=0.5, tol=1e-9)),
             ({"kind": "profile_file", "path": "data/profile.bin"},
@@ -170,14 +169,14 @@ def test_validate_rejects_mistyped_counts_and_flags(field, value, needle):
     # configs built in Python skip the JSON parser; construction checks
     # the types that the parser would have, before any later use of the value
     config = RunConfig(L=np.pi, N=64, s=0.75, dt=1e-2, T=0.1, scheme_p=2,
-                       initial=SolitonInitial(lambda1=1.0))
+                       initial=SolitonParams(lambda1=1.0))
     with pytest.raises(ParameterError, match="^" + needle + ": expected a"):
         replace(config, **{field: value})
 
 
 def test_validate_accepts_numpy_integers_and_booleans():
     RunConfig(L=np.pi, N=np.int64(64), s=0.75, dt=1e-2, T=0.1,
-              scheme_p=np.int32(2), initial=SolitonInitial(lambda1=1.0),
+              scheme_p=np.int32(2), initial=SolitonParams(lambda1=1.0),
               fp_max_iters=np.int64(50))
 
 
@@ -185,7 +184,7 @@ def test_validate_rejects_unaddressable_numpy_N():
     # a numpy integer must not wrap around in the 16 N byte count
     with pytest.raises(ParameterError, match="^N: .* addressable memory"):
         RunConfig(L=np.pi, N=np.int64(2**62), s=0.75, dt=1e-2, T=0.1,
-                  scheme_p=2, initial=SolitonInitial(lambda1=1.0))
+                  scheme_p=2, initial=SolitonParams(lambda1=1.0))
 
 
 @pytest.mark.parametrize("build,field,value", [
@@ -199,7 +198,7 @@ def test_component_and_config_give_one_message(build, field, value):
     # each fact has one check: the component that takes a value and the
     # RunConfig field that feeds it reject the same bad value in one wording
     config = RunConfig(L=np.pi, N=64, s=0.75, dt=1e-2, T=0.1, scheme_p=2,
-                       initial=SolitonInitial(lambda1=1.0))
+                       initial=SolitonParams(lambda1=1.0))
     with pytest.raises(ParameterError) as component:
         build(value)
     with pytest.raises(ParameterError) as from_config:
@@ -215,17 +214,16 @@ def test_solver_params_rejects_non_integer_iteration_cap(value):
 
 
 def test_soliton_initial_is_validated_at_construction():
-    assert SolitonInitial is SolitonParams
     with pytest.raises(ParameterError, match=r"^lambda1: must exceed lambda2\^2/4 = 0\.25, "
                                              r"got 0\.2$"):
-        SolitonInitial(0.2, 1.0)
+        SolitonParams(0.2, 1.0)
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: SolitonInitial(math.inf), "lambda1: must be finite, got inf"),
-    (lambda: SolitonInitial(1.0, x0=math.inf), "x0: must be finite, got inf"),
-    (lambda: SolitonInitial(1.0, x0=math.nan), "x0: must be finite, got nan"),
-    (lambda: SolitonInitial(1.0, theta0=math.nan), "theta0: must be finite, got nan"),
+    (lambda: SolitonParams(math.inf), "lambda1: must be finite, got inf"),
+    (lambda: SolitonParams(1.0, x0=math.inf), "x0: must be finite, got inf"),
+    (lambda: SolitonParams(1.0, x0=math.nan), "x0: must be finite, got nan"),
+    (lambda: SolitonParams(1.0, theta0=math.nan), "theta0: must be finite, got nan"),
     (lambda: PetviashviliInitial(math.inf), "lambda1: must be finite, got inf"),
     (lambda: PetviashviliInitial(1.0, math.nan), "lambda2: must be finite, got nan"),
     (lambda: PetviashviliInitial(1.0, tol=0.0), "tol: must be positive and finite, got 0.0"),
@@ -245,7 +243,7 @@ def test_initial_data_is_validated_at_construction(build, message):
 
 def test_run_config_problem():
     config = RunConfig(L=np.pi, N=64, s=0.75, dt=1e-2, T=0.1, scheme_p=2,
-                       initial=SolitonInitial(lambda1=1.0), fp_tol=1e-11,
+                       initial=SolitonParams(lambda1=1.0), fp_tol=1e-11,
                        fp_max_iters=50)
     scheme, sp, mp = config.problem()
     assert scheme == yoshida_coefficients(2)
@@ -275,7 +273,7 @@ def test_load_config_malformed_json(tmp_path):
 def test_run_config_replace_rechecks_fields():
     # dataclasses.replace re-runs the construction checks on every field
     config = RunConfig(L=np.pi, N=64, s=1.0, dt=1e-2, T=0.1, scheme_p=1,
-                       initial=SolitonInitial(lambda1=1.0))
+                       initial=SolitonParams(lambda1=1.0))
     replaced = replace(config, snapshot_stride=5)
     assert replaced.snapshot_stride == 5
     assert replaced.dt == config.dt

@@ -15,7 +15,7 @@ STABLE_EXPORTS = {
     "HsBoundDiagnostic", "InvariantRecord",
     "InvariantRecorder", "ModelParams", "ParameterError", "PetviashviliInitial",
     "ProfileDivergenceError", "ProfileFileInitial", "ProfileResult", "RunConfig",
-    "RunStats", "Snapshot", "SnapshotWriter", "SolitonInitial", "SolitonParams",
+    "RunStats", "Snapshot", "SnapshotWriter", "SolitonParams",
     "SolverParams", "SpectralGrid", "StageDivergenceError", "TrackRecord",
     "TrackingError", "WaveTracker", "build_initial_field", "component_errors",
     "convergence_study", "derivative", "error_growth_study", "evolve",

@@ -237,6 +237,25 @@ def test_petviashvili_mixing_cuts_iterations():
     assert result.iterations <= 20
 
 
+@pytest.mark.parametrize("N, L, s, iterations", [
+    (4096, 32 * np.pi, 0.75, 15), (1024, 16 * np.pi, 0.75, 15), (1024, 16 * np.pi, 0.6, 18)])
+def test_petviashvili_readme_iteration_counts(N, L, s, iterations):
+    # README's profile table, exactly: a wrong depth (2 or 4) still beats
+    # the plain loop but moves these counts
+    result = petviashvili_profile(SpectralGrid(N, L), s, 1.0, 0.25)
+    assert result.iterations == iterations
+
+
+@pytest.mark.parametrize("lambda1", [1e-200, 1e200])
+def test_petviashvili_extreme_lambda1_fails_at_once(lambda1):
+    # N sum |Phi|^4 of the start underflows to 0 or overflows: m is not
+    # finite and positive, and the solve stops before forming an iterate
+    with pytest.raises(ProfileDivergenceError) as info:
+        petviashvili_profile(SpectralGrid(256, 16 * np.pi), 0.75, lambda1, 0.0)
+    assert info.value.iterations <= 3
+    assert len(info.value.residual_history) == info.value.iterations
+
+
 @pytest.mark.parametrize("failure", ["singular", "nan"])
 def test_petviashvili_mixing_falls_back_to_plain_steps(monkeypatch, failure):
     # normal equations that cannot be solved make every step a plain one:
