@@ -113,14 +113,21 @@ class StageDivergenceError(FnlsError, RuntimeError):
 
 
 class ProfileDivergenceError(FnlsError, RuntimeError):
-    """Petviashvili iteration failed to reach the requested tolerance."""
+    """Petviashvili iteration failed to reach the requested tolerance, or
+    stopped at once on a factor m that is not finite and positive."""
 
-    def __init__(self, iterations: int, residual_history: list[float]):
-        super().__init__(iterations, residual_history)
+    def __init__(self, iterations: int, residual_history: list[float],
+                 m: float | None = None):
+        super().__init__(iterations, residual_history, m)
         self.iterations = iterations
         self.residual_history = residual_history
+        self.m = m
 
     def __str__(self) -> str:
+        if self.m is not None:
+            return (f"Petviashvili iteration stopped after {self.iterations} iterations: "
+                    f"m = {self.m:.3g} is not finite and positive, because the quartic "
+                    f"sum N sum |Phi|^4 underflowed to 0 or overflowed")
         last = self.residual_history[-1] if self.residual_history else float("nan")
         return (f"Petviashvili iteration did not converge after {self.iterations} "
                 f"iterations (last residual {last:.3e})")

@@ -240,7 +240,7 @@ def read_snapshot(path: Path | str) -> Snapshot:
 class SnapshotWriter:
     """Observer writing one snapshot file every ``stride`` steps."""
 
-    def __init__(self, directory: Path | str, s: float, stride: int = 100):
+    def __init__(self, directory: Path | str, s: float, stride: int):
         self.directory = Path(directory)
         self.s = s
         self.stride = stride

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, check_s, fractional_laplacian
+from .spectral import Field, check_s
 
 __all__ = [
     "ModelParams",
@@ -63,14 +63,15 @@ class HsBoundDiagnostic:
 
 
 def nonlinearity(u: Field) -> Field:
-    """Pointwise cubic term |u_j|^2 u_j."""
+    """Pointwise cubic term |u_j|^2 u_j, formed as conj(u_j) u_j u_j; only
+    the stage kernel of integrators forms its own (shifted, in place)."""
     v = u.values
-    return Field(np.abs(v) ** 2 * v, u.grid)
+    return Field(np.conjugate(v) * v * v, u.grid)
 
 
 def rhs(u: Field, p: ModelParams) -> Field:
     """Semidiscrete right-hand side F(u) = -i (-d_xx)^s u + i |u|^2 u."""
-    lap = fractional_laplacian(u, p.s).values
+    lap = np.fft.ifft(u.grid.fractional_symbol(p.s) * np.fft.fft(u.values))
     return Field(-1j * lap + 1j * nonlinearity(u).values, u.grid)
 
 

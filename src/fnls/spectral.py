@@ -11,7 +11,9 @@ that coefficients approximate the continuous Fourier coefficients
 rather than 0, the discrete transform picks up an alternating phase
 (-1)^k relative to a plain FFT; diagonal multiplier operators are
 unaffected (the phases cancel), so they are applied directly in FFT
-layout.
+layout.  The spatial operators are the grid's symbols, fractional_symbol(s)
+for (-d_xx)^s and derivative_symbol for d_x, applied to nodal values v as
+np.fft.ifft(symbol * np.fft.fft(v)).
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ __all__ = [
     "Coefficients",
     "forward_transform",
     "inverse_transform",
-    "fractional_laplacian",
-    "derivative",
     "l2_norm",
     "hs_norm",
 ]
@@ -116,7 +116,8 @@ class SpectralGrid:
 
     @cached_property
     def derivative_symbol(self) -> np.ndarray:
-        """i pi k / L with the unmatched Nyquist mode -N/2 zeroed."""
+        """i pi k / L with the unmatched Nyquist mode -N/2 zeroed, so that
+        real fields have real derivatives."""
         sym = 1j * self.kappa
         sym[self.wavenumbers == -self.N // 2] = 0.0
         sym.setflags(write=False)
@@ -177,30 +178,6 @@ def inverse_transform(c: Coefficients) -> Field:
     """Exact inverse of forward_transform."""
     g = c.grid
     return Field(np.fft.ifft(c.modes * g.mode_phase) * g.N, g)
-
-
-def _apply_symbol(f: Field, symbol: np.ndarray) -> Field:
-    # Diagonal Fourier multiplier; the -L phase factors cancel.
-    return Field(np.fft.ifft(symbol * np.fft.fft(f.values)), f.grid)
-
-
-def fractional_laplacian(f: Field, s: float) -> Field:
-    """Apply (-d_xx)^s: mode k is scaled by |pi k / L|^(2s).
-
-    The zero mode is annihilated; the Nyquist mode is kept (the symbol is
-    even, so no conjugate partner is needed).
-    """
-    check_s(s)
-    return _apply_symbol(f, f.grid.fractional_symbol(s))
-
-
-def derivative(f: Field) -> Field:
-    """Spectral first derivative; the Nyquist mode is zeroed.
-
-    The odd symbol i pi k / L has no matched conjugate partner at k = -N/2,
-    so that mode is dropped to keep real fields real.
-    """
-    return _apply_symbol(f, f.grid.derivative_symbol)
 
 
 def l2_norm(f: Field) -> float:

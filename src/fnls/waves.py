@@ -17,7 +17,8 @@ the residual and iteration count of the solve.  The differences are held
 as a deque of at most DEPTH pairs, newest first, from which each mixed
 step forms its normal equations.  An iteration costs two transforms, run
 like the stage kernel of integrators (pocketfft gufuncs with 0-d scales),
-plus a fixed number of passes.
+plus a fixed number of passes.  The solve and residual_operator apply one
+operator: the profile symbol l(k) and model.nonlinearity.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import numpy as np
 
 from .errors import (ParameterError, ProfileDivergenceError, check_count,
                      check_finite, check_positive_finite)
-from .spectral import (ONE, Field, SpectralGrid, check_s, derivative, fft,
-                       fractional_laplacian, ifft)
+from .model import nonlinearity
+from .spectral import ONE, Field, SpectralGrid, check_s, fft, ifft
 
 __all__ = [
     "SolitonParams",
@@ -87,12 +88,15 @@ def nls_soliton(grid: SpectralGrid, t: float, sp: SolitonParams) -> Field:
 
 def residual_operator(phi: Field, s: float, lambda1: float,
                       lambda2: float) -> Field:
-    """Profile-equation residual (lambda1 + (-d_xx)^s) Phi + i lambda2 Phi' - |Phi|^2 Phi."""
-    vals = phi.values
-    lap = fractional_laplacian(phi, s).values
-    dphi = derivative(phi).values
-    cubic = np.abs(vals) ** 2 * vals
-    return Field(lambda1 * vals + lap + 1j * lambda2 * dphi - cubic, phi.grid)
+    """Profile-equation residual (lambda1 + (-d_xx)^s) Phi + i lambda2 Phi' - |Phi|^2 Phi.
+
+    The linear part is the profile solve's symbol l(k), applied in one
+    transform pair; the cubic term is model.nonlinearity.
+    """
+    check_s(s)
+    ell = _profile_symbol(phi.grid, s, lambda1, lambda2)
+    linear = np.fft.ifft(ell * np.fft.fft(phi.values))
+    return Field(linear - nonlinearity(phi).values, phi.grid)
 
 
 @dataclass(frozen=True)
@@ -106,11 +110,8 @@ class ProfileResult:
 
 def _profile_symbol(grid: SpectralGrid, s: float, lambda1: float,
                     lambda2: float) -> np.ndarray:
-    """Fourier symbol l(k) = lambda1 + |pi k/L|^(2s) - lambda2 (pi k/L).
-
-    The drift term is read off the derivative symbol, so the Nyquist mode
-    k = -N/2 drops it exactly as residual_operator's derivative does.
-    """
+    """Fourier symbol l(k) = lambda1 + |pi k/L|^(2s) - lambda2 (pi k/L) of
+    the profile equation's linear part, the drift read off derivative_symbol."""
     drift = grid.derivative_symbol.imag
     return lambda1 + grid.fractional_symbol(s) - lambda2 * drift
 
@@ -170,12 +171,12 @@ def petviashvili_profile(grid: SpectralGrid, s: float, lambda1: float,
 
     An iteration costs two transforms, Phi = ifft(Phi_hat) and
     G_hat = fft(G), a fixed number of passes, and a DEPTH x DEPTH solve.
-    Raises ProfileDivergenceError after max_iters iterations, or at once
-    when m is not finite and positive: for an extreme lambda1 the sum
-    N sum |Phi|^4 underflows to 0 or overflows.  The residual of iterate n is
-    read in coefficient space as sqrt(h / N) ||l Phi_hat - G_hat||: l
-    drops the drift at the Nyquist mode exactly as residual_operator
-    does, so by Parseval this is residual_operator's l2 norm.
+    Raises ProfileDivergenceError after max_iters iterations, or at once,
+    carrying m, when m is not finite and positive: for an extreme lambda1
+    the sum N sum |Phi|^4 underflows to 0 or overflows.  The residual of
+    iterate n is read in coefficient space as
+    sqrt(h / N) ||l Phi_hat - G_hat||, by Parseval the l2 norm of
+    residual_operator, which applies the same l and cubic term.
     """
     check_s(s, lo=0.5)
     check_finite("lambda1", lambda1)
@@ -190,7 +191,8 @@ def petviashvili_profile(grid: SpectralGrid, s: float, lambda1: float,
         )
 
     N = grid.N
-    vals = nls_soliton(grid, 0.0, SolitonParams(lambda1, lambda2)).values
+    phi = nls_soliton(grid, 0.0, SolitonParams(lambda1, lambda2))
+    vals = phi.values                           # updated in place by ifft
     inv_ell = 1.0 / ell
     inverse_scale = np.array(1.0 / N)
     res_scale = math.sqrt(grid.h / N)           # l2 norm of X from fft(X)
@@ -202,8 +204,8 @@ def petviashvili_profile(grid: SpectralGrid, s: float, lambda1: float,
     last_norm = math.inf                        # ||f_{n-1}||
 
     def cubic_and_residual() -> tuple[np.ndarray, float]:
-        # G_hat = fft(|Phi|^2 Phi) of vals, l Phi_hat and the residual of phi_hat
-        fft(np.conjugate(vals) * vals * vals, ONE, g_hat)
+        # G_hat = fft(|Phi|^2 Phi) of phi, l Phi_hat and the residual of phi_hat
+        fft(nonlinearity(phi).values, ONE, g_hat)
         ell_phi = ell * phi_hat
         gap = ell_phi - g_hat
         return ell_phi, res_scale * math.sqrt(np.vdot(gap, gap).real)
@@ -216,7 +218,7 @@ def petviashvili_profile(grid: SpectralGrid, s: float, lambda1: float,
         quartic = float(np.vdot(phi_hat, g_hat).real)
         m = float(np.vdot(phi_hat, ell_phi).real) / quartic if quartic else 0.0
         if not 0.0 < m < math.inf:
-            raise ProfileDivergenceError(it - 1, residual_history)
+            raise ProfileDivergenceError(it - 1, residual_history, m)
         image = g_hat * inv_ell * m ** 1.5
         residual = image - phi_hat
         norm = math.sqrt(np.vdot(residual, residual).real)
@@ -242,5 +244,5 @@ def petviashvili_profile(grid: SpectralGrid, s: float, lambda1: float,
         ell_phi, res = cubic_and_residual()
         residual_history.append(res)
         if change <= tol and res <= 100.0 * tol:
-            return ProfileResult(profile=Field(vals, grid), residual=res, iterations=it)
+            return ProfileResult(profile=phi, residual=res, iterations=it)
     raise ProfileDivergenceError(max_iters, residual_history)

@@ -18,10 +18,9 @@ STABLE_EXPORTS = {
     "RunStats", "Snapshot", "SnapshotWriter", "SolitonParams",
     "SolverParams", "SpectralGrid", "StageDivergenceError", "TrackRecord",
     "TrackingError", "WaveTracker", "build_initial_field", "component_errors",
-    "convergence_study", "derivative", "error_growth_study", "evolve",
-    "exact_step_count", "forward_transform", "fractional_laplacian",
-    "hs_bound_diagnostic", "hs_norm", "imr_stage_solve", "invariants",
-    "inverse_transform", "l2_norm", "load_config", "nls_soliton",
+    "convergence_study", "error_growth_study", "evolve", "exact_step_count",
+    "forward_transform", "hs_bound_diagnostic", "hs_norm", "imr_stage_solve",
+    "invariants", "inverse_transform", "l2_norm", "load_config", "nls_soliton",
     "nonlinearity", "petviashvili_profile", "read_snapshot", "residual_operator",
     "rhs", "step", "write_snapshot", "yoshida_coefficients",
 }

@@ -8,9 +8,7 @@ from fnls import (
     Field,
     ParameterError,
     SpectralGrid,
-    derivative,
     forward_transform,
-    fractional_laplacian,
     hs_norm,
     inverse_transform,
     l2_norm,
@@ -111,27 +109,38 @@ def test_parseval(small_grid):
     assert grid_side == pytest.approx(mode_side, rel=1e-13)
 
 
+def apply(symbol, u):
+    # a grid symbol applied to nodal values, as the solver applies it
+    return np.fft.ifft(symbol * np.fft.fft(u.values))
+
+
 def test_derivative_pure_mode():
     # u = e^{i3x} on L = pi differentiates to 3i e^{i3x}
     g = SpectralGrid(32, np.pi)
     u = Field(np.exp(3j * g.nodes), g)
-    du = derivative(u)
-    np.testing.assert_allclose(du.values, 3j * u.values, atol=1e-12)
+    np.testing.assert_allclose(apply(g.derivative_symbol, u), 3j * u.values, atol=1e-12)
 
 
 def test_derivative_constant_and_nyquist(small_grid):
+    sym = small_grid.derivative_symbol
     const = Field(np.full(small_grid.N, 1.5 + 0.5j), small_grid)
-    np.testing.assert_allclose(derivative(const).values, 0.0, atol=1e-14)
+    np.testing.assert_allclose(apply(sym, const), 0.0, atol=1e-14)
+    nyquist = small_grid.wavenumbers == -small_grid.N // 2
+    assert sym[nyquist] == 0.0
     nyq = np.zeros(small_grid.N, dtype=complex)
-    nyq[small_grid.wavenumbers == -small_grid.N // 2] = 1.0
+    nyq[nyquist] = 1.0
     u = Field(np.fft.ifft(nyq * (-1.0) ** small_grid.wavenumbers) * small_grid.N, small_grid)
-    np.testing.assert_allclose(derivative(u).values, 0.0, atol=1e-13)
+    np.testing.assert_allclose(apply(sym, u), 0.0, atol=1e-13)
 
 
 def test_derivative_keeps_real_fields_real(small_grid):
+    # the symbol at -k is the conjugate of the symbol at k (FFT indices j and
+    # N - j); the Nyquist index N/2 pairs with itself and holds 0
+    sym = small_grid.derivative_symbol
+    np.testing.assert_array_equal(sym[1:], np.conjugate(sym[1:][::-1]))
     rng = np.random.default_rng(11)
     u = Field(np.asarray(rng.normal(size=small_grid.N), dtype=complex), small_grid)
-    du = derivative(u).values
+    du = apply(sym, u)
     assert np.max(np.abs(du.imag)) <= 1e-12 * np.max(np.abs(du.real))
 
 
@@ -141,43 +150,43 @@ def test_derivative_against_analytic_sech():
     g = SpectralGrid(512, 30.0)
     u = Field(1.0 / np.cosh(g.nodes) + 0j, g)
     exact = -np.tanh(g.nodes) / np.cosh(g.nodes)
-    np.testing.assert_allclose(derivative(u).values.real, exact, atol=1e-10)
+    np.testing.assert_allclose(apply(g.derivative_symbol, u).real, exact, atol=1e-10)
 
 
 @pytest.mark.parametrize("s,m", [(1.0, 2), (0.75, 5), (0.6, -3), (0.5, 1)])
 def test_fractional_laplacian_pure_mode(s, m):
     g = SpectralGrid(64, np.pi)   # L = pi makes kappa_m = m
     u = Field(np.exp(1j * m * g.nodes), g)
-    out = fractional_laplacian(u, s)
-    np.testing.assert_allclose(out.values, abs(m) ** (2 * s) * u.values, atol=1e-12)
+    out = apply(g.fractional_symbol(s), u)
+    np.testing.assert_allclose(out, abs(m) ** (2 * s) * u.values, atol=1e-12)
 
 
 def test_fractional_laplacian_s1_matches_second_derivative(small_grid):
-    u = smooth_random_field(small_grid, seed=5, bandwidth=3.0)
-    lap = fractional_laplacian(u, 1.0)
-    minus_dxx = Field(-derivative(derivative(u)).values, small_grid)
-    # agreement holds away from the Nyquist mode, absent in this data
-    np.testing.assert_allclose(lap.values, minus_dxx.values, atol=1e-11)
+    # (-d_xx)^1 is -d_x^2 exactly, off the Nyquist mode, where the
+    # derivative symbol is zeroed and the even fractional symbol is not
+    g = small_grid
+    d = g.derivative_symbol
+    sym = g.fractional_symbol(1.0)
+    off = g.wavenumbers != -g.N // 2
+    np.testing.assert_array_equal(sym[off], -(d * d)[off])
+    assert sym[~off] > 0.0
 
 
 def test_fractional_laplacian_annihilates_constants(small_grid):
+    sym = small_grid.fractional_symbol(0.7)
+    assert sym[small_grid.wavenumbers == 0] == 0.0
     const = Field(np.full(small_grid.N, 2.0 - 1.0j), small_grid)
-    np.testing.assert_allclose(fractional_laplacian(const, 0.7).values, 0.0, atol=1e-13)
+    np.testing.assert_allclose(apply(sym, const), 0.0, atol=1e-13)
 
 
 def test_fractional_laplacian_real_even_symmetry():
     g = SpectralGrid(128, 12.0)
+    sym = g.fractional_symbol(0.6)
+    np.testing.assert_array_equal(sym[1:], sym[1:][::-1])   # even in k
     u = Field(1.0 / np.cosh(g.nodes) + 0j, g)
-    out = fractional_laplacian(u, 0.6).values
+    out = apply(sym, u)
     assert np.max(np.abs(out.imag)) <= 1e-13
     np.testing.assert_allclose(out[1:], out[1:][::-1], atol=1e-12)
-
-
-@pytest.mark.parametrize("s", [0.0, -0.2, 1.1])
-def test_fractional_laplacian_rejects_bad_s(small_grid, s):
-    u = Field(np.ones(small_grid.N), small_grid)
-    with pytest.raises(ParameterError):
-        fractional_laplacian(u, s)
 
 
 def test_l2_norm_constant(small_grid):

@@ -71,6 +71,13 @@ def test_residual_operator_zero_map(small_grid):
     np.testing.assert_array_equal(out.values, 0.0)
 
 
+@pytest.mark.parametrize("s", [0.0, -0.2, 1.1])
+def test_residual_operator_rejects_bad_s(small_grid, s):
+    u = Field(np.ones(small_grid.N), small_grid)
+    with pytest.raises(ParameterError, match="^s: "):
+        residual_operator(u, s, 1.0, 0.25)
+
+
 def test_residual_operator_accepts_classical_soliton():
     # the closed-form s = 1 profile must satisfy the traveling-wave equation;
     # N = 1024 keeps the spectral tail under the laplacian symbol's growth
@@ -175,9 +182,8 @@ def test_petviashvili_divergence_error():
 
 
 def test_petviashvili_converges_on_coarse_grids():
-    # the README quick-start profile: the iteration symbol must drop the
-    # drift term at the Nyquist mode exactly as residual_operator does, or
-    # the residual on these grids cannot fall below about 1e-6
+    # the README quick-start profile on coarse grids; the solve's residual
+    # is, by Parseval, the l2 norm of residual_operator
     for N in (256, 512):
         g = SpectralGrid(N, 16 * np.pi)
         result = petviashvili_profile(g, 0.75, 1.0, 0.25, max_iters=80)
@@ -252,8 +258,16 @@ def test_petviashvili_extreme_lambda1_fails_at_once(lambda1):
     # finite and positive, and the solve stops before forming an iterate
     with pytest.raises(ProfileDivergenceError) as info:
         petviashvili_profile(SpectralGrid(256, 16 * np.pi), 0.75, lambda1, 0.0)
-    assert info.value.iterations <= 3
-    assert len(info.value.residual_history) == info.value.iterations
+    err = info.value
+    assert err.iterations <= 3
+    assert len(err.residual_history) == err.iterations
+    assert not 0.0 < err.m < math.inf
+    assert f"m = {err.m:.3g} is not finite and positive" in str(err)
+    assert "underflowed to 0 or overflowed" in str(err)
+    assert err.args[2] is err.m          # a constructor argument, as errors.py asks
+    back = pickle.loads(pickle.dumps(err))
+    assert repr(back.m) == repr(err.m)
+    assert str(back) == str(err)
 
 
 @pytest.mark.parametrize("failure", ["singular", "nan"])
